@@ -1,34 +1,46 @@
-"""Combination rules for crisp belief assignments.
+"""Combination rules for crisp belief assignments, and the engine every
+pooling and conflict rule runs on.
 
-Every intersection-style rule is built on one pipeline: the n-ary
-conjunctive product is expanded term by term; terms landing on sets the
-emptiness model declares empty are diverted into a
-:class:`ConflictLedger` instead of the output.  Each named rule is then
-just a disposal policy for the ledger:
+One pipeline evaluates every rule: *expand* each cross product of focal
+sets, one per source, into a term valued by the product of its masses
+(or by a T-norm); *star* the term's operands into its result set by
+intersection, union, symmetric difference or a grouping tree; *mark*
+the results that may not keep mass, normally those the emptiness model
+forces empty; pool unmarked terms on their result sets and record
+marked ones in a :class:`ConflictLedger`; then *dispose* of the
+ledger's mass and optionally rescale.  Each named rule is a
+configuration of that pipeline:
 
-* Dempster        -- renormalize the surviving mass (all-or-nothing conflict).
-* Yager           -- pour the conflict onto total ignorance.
-* Smets (TBM)     -- leave the conflict on the empty set (open world).
+* conjunctive     -- intersection, model-empty marked, ledger returned;
+* disjunctive, exclusive disjunctive, mixed
+                  -- union, symmetric difference, grouping tree; nothing
+                     is marked;
+* Dempster        -- discard the ledger, rescale the kept mass;
+* Yager / Smets   -- the ledger total onto total ignorance / the empty
+                     set (open world);
 * Dubois-Prade /
-  DSm hybrid      -- move each conflicting term to the union of its
-                     operands, escalating to total ignorance when that
-                     union is itself empty.
-* PCR5            -- split each conflicting term between its two operand
-                     sets in proportion to those operands' own masses.
+  DSm hybrid      -- each entry onto the union of its operands,
+                     escalated to total ignorance when that union is
+                     itself empty;
+* PCR5            -- each entry split between its two operands in
+                     proportion to those operands' own masses.
 
-Disjunctive, exclusive-disjunctive, mixed-grouping and averaging rules
-do not produce conflict and bypass the ledger.
+:mod:`fusionkit.tcn` configures the same engine for the T-norm rules
+and the master formula; :mod:`fusionkit.uft` uses its expansion and
+stars and routes each term itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 
 from .algebra import EmptinessModel, Frame, World
-from .errors import BadGrouping, FrameMismatch, TotalConflict
+from .errors import BadGrouping, FrameMismatch, InputError, TotalConflict
 from .mass import Bba
 
 _TOTAL_CONFLICT_TOL = 1e-12
@@ -50,7 +62,7 @@ class RuleId(Enum):
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One conjunctive product term whose result set is model-empty."""
+    """One product term whose result set is marked (by default: model-empty)."""
 
     operands: tuple[int, ...]  # one focal-set bitmask per source
     result: int
@@ -59,10 +71,10 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class ConflictLedger:
-    """Audit trail of conflicting product terms.
+    """Audit trail of marked product terms.
 
     The ledger plus the surviving output always account for the full raw
-    conjunctive mass, so any disposal policy can be replayed from it.
+    combined mass, so any disposal policy can be replayed from it.
     """
 
     frame: Frame
@@ -83,9 +95,22 @@ class ConflictLedger:
         ]
 
 
+# --- the engine --------------------------------------------------------------
+
+# Stars: a term's operand bitmasks -> its result set.  Operands are
+# subsets of the universe, so folding without a start value equals
+# folding from the identity (universe for "and", empty set otherwise).
+_AND = partial(reduce, operator.and_)
+_OR = partial(reduce, operator.or_)
+_XOR = partial(reduce, operator.xor)
+
+#: Mark predicate that marks nothing.
+_NEVER = frozenset().__contains__
+
+
 def _check_sources(sources) -> Frame:
     if len(sources) < 2:
-        raise ValueError("need at least two sources")
+        raise InputError("need at least two sources")
     frame = sources[0].frame
     for s in sources[1:]:
         if s.frame != frame:
@@ -93,124 +118,83 @@ def _check_sources(sources) -> Frame:
     return frame
 
 
+def _grouping(tree, n: int, where: str = ""):
+    """Star for a grouping tree of ``("and"|"or", left, right)`` nodes
+    whose leaves are 0-based source indices, each of ``range(n)``
+    exactly once."""
+    seen: set = set()
+
+    def build(node):
+        if isinstance(node, int):
+            if not 0 <= node < n:
+                raise BadGrouping(f"source index {node} out of range")
+            if node in seen:
+                raise BadGrouping(f"source index {node} used twice")
+            seen.add(node)
+            return operator.itemgetter(node)
+        if not (isinstance(node, (list, tuple)) and len(node) == 3
+                and node[0] in ("and", "or")):
+            raise BadGrouping(f"bad grouping node {node!r}")
+        op = operator.and_ if node[0] == "and" else operator.or_
+        left, right = build(node[1]), build(node[2])
+        return lambda ops: op(left(ops), right(ops))
+
+    star = build(tree)
+    if len(seen) != n:
+        raise BadGrouping("every source must appear exactly once" + where)
+    return star
+
+
+def _marks_empty(model: EmptinessModel):
+    """Mark predicate for results the model forces empty."""
+    live = ~model.forced_empty_bits
+    return lambda bits: not bits & live
+
+
+def _expand(sources):
+    """(operand bitmasks, source masses) of every cross product of focal
+    sets, the two products walked in lockstep."""
+    items = [s.crisp_items() for s in sources]
+    return zip(itertools.product(*[[b for b, _ in it] for it in items]),
+               itertools.product(*[[v for _, v in it] for it in items]))
+
+
 def product_terms(sources):
     """All cross products of focal sets: (operand bitmasks, product mass)."""
-    focal_lists = [s.crisp_items() for s in sources]
-    for combo in itertools.product(*focal_lists):
-        p = 1.0
-        for _, v in combo:
-            p *= v
-        if p == 0.0:
-            continue
-        yield tuple(b for b, _ in combo), p
+    for ops, vs in _expand(sources):
+        p = math.prod(vs)
+        if p != 0.0:
+            yield ops, p
 
 
-def conjunctive(*sources, model: EmptinessModel | None = None):
-    """N-ary conjunctive rule.
-
-    Returns ``(bba, ledger)``: masses on model-empty intersections go to
-    the ledger, everything else to the bba.  Under the free model the
-    ledger only ever holds mass landing on the structurally empty set.
-    """
-    frame = _check_sources(sources)
-    model = model or EmptinessModel.free(frame)
-    out: dict = {}
+def _pool(sources, star=_AND, marked=_NEVER, value=math.prod):
+    """Expand, star and mark every term: the kept mass by result set,
+    and the ledger of marked terms."""
+    kept: dict = {}
     entries = []
-    for ops, p in product_terms(sources):
-        bits = frame.universe_bits
-        for b in ops:
-            bits &= b
-        if bits & ~model.forced_empty_bits == 0:
-            entries.append(LedgerEntry(ops, bits, p))
+    for ops, vs in _expand(sources):
+        v = value(vs)
+        if v == 0.0:
+            continue
+        bits = star(ops)
+        if marked(bits):
+            entries.append(LedgerEntry(ops, bits, v))
         else:
-            out[bits] = out.get(bits, 0.0) + p
-    return Bba._from_masses(frame, out), ConflictLedger(frame, tuple(entries))
+            kept[bits] = kept.get(bits, 0.0) + v
+    return kept, ConflictLedger(sources[0].frame, tuple(entries))
 
 
-def disjunctive(*sources) -> Bba:
-    """N-ary disjunctive rule: products land on unions, no conflict."""
-    frame = _check_sources(sources)
-    out: dict = {}
-    for ops, p in product_terms(sources):
-        bits = 0
-        for b in ops:
-            bits |= b
-        out[bits] = out.get(bits, 0.0) + p
-    return Bba._from_masses(frame, out)
-
-
-def exclusive_disjunctive(*sources) -> Bba:
-    """Products land on symmetric differences ("exactly one of them").
-
-    Identical focal pairs land on the empty set; that mass is reported
-    on the empty set and left to the caller's world mode.  For more than
-    two sources the symmetric difference folds pairwise (bitmask xor is
-    associative, so the fold order is immaterial).
-    """
-    frame = _check_sources(sources)
-    out: dict = {}
-    for ops, p in product_terms(sources):
-        bits = 0
-        for b in ops:
-            bits ^= b
-        out[bits] = out.get(bits, 0.0) + p
-    return Bba._from_masses(frame, out)
-
-
-def _count_leaves(tree, seen: set, n: int):
-    if isinstance(tree, int):
-        if not 0 <= tree < n:
-            raise BadGrouping(f"source index {tree} out of range")
-        if tree in seen:
-            raise BadGrouping(f"source index {tree} used twice")
-        seen.add(tree)
-        return
-    if not (isinstance(tree, (list, tuple)) and len(tree) == 3 and tree[0] in ("and", "or")):
-        raise BadGrouping(f"bad grouping node {tree!r}")
-    _count_leaves(tree[1], seen, n)
-    _count_leaves(tree[2], seen, n)
-
-
-def mixed(sources, grouping) -> Bba:
-    """Mixed conjunctive/disjunctive rule driven by a grouping tree.
-
-    ``grouping`` is a binary tree of ``("and", left, right)`` /
-    ``("or", left, right)`` nodes with 0-based source indices as leaves;
-    every source must appear exactly once.  Masses are combined in the
-    free algebra; a term landing on the structurally empty set stays
-    there (with an or-node at the root this cannot happen unless a
-    source already carries mass on the empty set).
-    """
-    frame = _check_sources(sources)
-    seen: set = set()
-    _count_leaves(grouping, seen, len(sources))
-    if len(seen) != len(sources):
-        raise BadGrouping("every source must appear exactly once in the grouping")
-
-    def ev(tree, ops):
-        if isinstance(tree, int):
-            return ops[tree]
-        _, l, r = tree
-        if tree[0] == "and":
-            return ev(l, ops) & ev(r, ops)
-        return ev(l, ops) | ev(r, ops)
-
-    out: dict = {}
-    for ops, p in product_terms(sources):
-        bits = ev(grouping, ops)
-        out[bits] = out.get(bits, 0.0) + p
-    return Bba._from_masses(frame, out)
-
-
-def murphy_average(*sources) -> Bba:
-    """Plain arithmetic mean of the sources' masses."""
-    frame = _check_sources(sources)
-    out: dict = {}
-    k = len(sources)
-    for s in sources:
-        for bits, v in s.crisp_items():
-            out[bits] = out.get(bits, 0.0) + v / k
-    return Bba._from_masses(frame, out)
+def _split(v: float, parts, den: float):
+    """``v`` shared over ``parts`` ((target, weight), ...) in proportion
+    to weight / ``den``; the last target takes the remainder, so the
+    shares sum to ``v`` exactly."""
+    last = len(parts) - 1
+    out, left = [], v
+    for i, (target, w) in enumerate(parts):
+        x = left if i == last else w * v / den
+        out.append((target, x))
+        left -= x
+    return out
 
 
 def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
@@ -224,13 +208,117 @@ def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
     return 0 if frame.world is World.OPEN else full
 
 
+def _source_masses(m1: Bba, m2: Bba):
+    """Weights of a pairwise ledger entry: its operands' own masses."""
+    first, second = dict(m1.entries), dict(m2.entries)
+    return lambda e: (first[e.operands[0]], second[e.operands[1]])
+
+
+def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
+             weights=None, conorm=None, on_zero=None, rescale=None) -> dict:
+    """Route the ledger's mass into the kept masses ``out`` (updated and
+    returned): ``"discard"`` it; the ledger total onto total
+    ``"ignorance"`` or the ``"empty"`` set; each entry onto the escalated
+    ``"union"`` of its operands; ``"split"`` it onto its two operands in
+    proportion to ``weights(entry)``; or give each operand its weight
+    times the ``"ratio"`` of value to ``conorm(w1, w2)``.  A zero split
+    or ratio denominator raises ``on_zero``, or falls back to the union.
+    ``rescale=(floor, error)`` then divides by the total, raising
+    ``error`` when the total is at most ``floor``."""
+    frame = ledger.frame
+    if how in ("ignorance", "empty"):
+        k = ledger.total()
+        if k:
+            target = frame.universe_bits if how == "ignorance" else 0
+            out[target] = out.get(target, 0.0) + k
+    elif how != "discard":
+        for e in ledger.entries:
+            v, ops = e.product, e.operands
+            den = 0.0
+            if how != "union":
+                w1, w2 = weights(e)
+                den = w1 + w2 if how == "split" else conorm(w1, w2)
+                if den == 0.0 and on_zero is not None:
+                    raise on_zero
+            if den == 0.0:
+                shares = ((_union_escalate(frame, _OR(ops), model), v),)
+            elif how == "split":
+                shares = _split(v, ((ops[0], w1), (ops[1], w2)), den)
+            else:
+                shares = ((ops[0], w1 * (v / den)), (ops[1], w2 * (v / den)))
+            for b, x in shares:
+                out[b] = out.get(b, 0.0) + x
+    if rescale is not None:
+        floor, error = rescale
+        total = math.fsum(out.values())
+        if total <= floor:
+            raise error
+        out = {b: v / total for b, v in out.items()}
+    return out
+
+
+# --- the rules ---------------------------------------------------------------
+
+
+def conjunctive(*sources, model: EmptinessModel | None = None):
+    """N-ary conjunctive rule.
+
+    Returns ``(bba, ledger)``: masses on model-empty intersections go to
+    the ledger, everything else to the bba.  Under the free model the
+    ledger only ever holds mass landing on the structurally empty set.
+    """
+    frame = _check_sources(sources)
+    model = model or EmptinessModel.free(frame)
+    kept, ledger = _pool(sources, _AND, _marks_empty(model))
+    return Bba._from_masses(frame, kept), ledger
+
+
+def disjunctive(*sources) -> Bba:
+    """N-ary disjunctive rule: products land on unions, no conflict."""
+    frame = _check_sources(sources)
+    return Bba._from_masses(frame, _pool(sources, _OR)[0])
+
+
+def exclusive_disjunctive(*sources) -> Bba:
+    """Products land on symmetric differences ("exactly one of them").
+
+    Identical focal pairs land on the empty set; that mass is reported
+    on the empty set and left to the caller's world mode.  For more than
+    two sources the symmetric difference folds pairwise (bitmask xor is
+    associative, so the fold order is immaterial).
+    """
+    frame = _check_sources(sources)
+    return Bba._from_masses(frame, _pool(sources, _XOR)[0])
+
+
+def mixed(sources, grouping) -> Bba:
+    """Mixed conjunctive/disjunctive rule driven by a grouping tree.
+
+    ``grouping`` is a binary tree of ``("and", left, right)`` /
+    ``("or", left, right)`` nodes with 0-based source indices as leaves;
+    every source must appear exactly once.  Masses are combined in the
+    free algebra; a term landing on the structurally empty set stays
+    there (with an or-node at the root this cannot happen unless a
+    source already carries mass on the empty set).
+    """
+    frame = _check_sources(sources)
+    star = _grouping(grouping, len(sources), " in the grouping")
+    return Bba._from_masses(frame, _pool(sources, star)[0])
+
+
+def murphy_average(*sources) -> Bba:
+    """Plain arithmetic mean of the sources' masses."""
+    frame = _check_sources(sources)
+    out: dict = {}
+    k = len(sources)
+    for s in sources:
+        for bits, v in s.crisp_items():
+            out[bits] = out.get(bits, 0.0) + v / k
+    return Bba._from_masses(frame, out)
+
+
 def dsmh_transfer(out: dict, ledger: ConflictLedger, model: EmptinessModel) -> None:
-    for e in ledger.entries:
-        bits = 0
-        for b in e.operands:
-            bits |= b
-        target = _union_escalate(ledger.frame, bits, model)
-        out[target] = out.get(target, 0.0) + e.product
+    _dispose(out, ledger, "union", model)
 
 
 def pcr5(m1: Bba, m2: Bba, model: EmptinessModel | None = None) -> Bba:
@@ -244,20 +332,19 @@ def pcr5(m1: Bba, m2: Bba, model: EmptinessModel | None = None) -> Bba:
     """
     out_bba, ledger = conjunctive(m1, m2, model=model)
     model = model or EmptinessModel.free(m1.frame)
-    out = dict(out_bba.entries)
-    for e in ledger.entries:
-        bx, by = e.operands
-        a = m1.mass(bx)
-        b = m2.mass(by)
-        den = a + b
-        if den == 0.0:
-            target = _union_escalate(m1.frame, bx | by, model)
-            out[target] = out.get(target, 0.0) + e.product
-            continue
-        x = a * e.product / den
-        out[bx] = out.get(bx, 0.0) + x
-        out[by] = out.get(by, 0.0) + (e.product - x)
+    out = _dispose(dict(out_bba.entries), ledger, "split", model,
+                   weights=_source_masses(m1, m2))
     return Bba._from_masses(m1.frame, out)
+
+
+#: Disposal of the conjunctive ledger for each two-source conflict rule.
+_DISPOSALS = {
+    RuleId.DEMPSTER: "discard",
+    RuleId.YAGER: "ignorance",
+    RuleId.SMETS_TBM: "empty",
+    RuleId.DUBOIS_PRADE: "union",
+    RuleId.DSMH: "union",
+}
 
 
 def combine(rule: RuleId | str, m1: Bba, m2: Bba,
@@ -265,42 +352,22 @@ def combine(rule: RuleId | str, m1: Bba, m2: Bba,
     """Dispatch a two-source combination by rule id."""
     if isinstance(rule, str):
         rule = RuleId(rule)
-    if rule is RuleId.DISJUNCTIVE:
-        return disjunctive(m1, m2)
-    if rule is RuleId.EXCLUSIVE_DISJUNCTIVE:
-        return exclusive_disjunctive(m1, m2)
-    if rule is RuleId.MURPHY_AVERAGE:
-        return murphy_average(m1, m2)
     if rule is RuleId.MIXED:
         raise BadGrouping("the mixed rule needs a grouping tree; call mixed()")
     if rule is RuleId.PCR5:
         return pcr5(m1, m2, model)
+    if rule not in _DISPOSALS:
+        return fuse_many(rule, (m1, m2), model)
 
     out_bba, ledger = conjunctive(m1, m2, model=model)
-    if rule is RuleId.CONJUNCTIVE:
-        return out_bba
-    out = dict(out_bba.entries)
-    frame = m1.frame
-    model = model or EmptinessModel.free(frame)
-    k = ledger.total()
+    rescale = None
     if rule is RuleId.DEMPSTER:
-        keep = math.fsum(v for _, v in out_bba.entries)
-        if keep <= _TOTAL_CONFLICT_TOL:
-            raise TotalConflict(f"conflict mass {k} leaves nothing to normalize")
-        return Bba._from_masses(frame, {b: v / keep for b, v in out.items()})
-    if rule is RuleId.YAGER:
-        if k:
-            full = frame.universe_bits
-            out[full] = out.get(full, 0.0) + k
-        return Bba._from_masses(frame, out)
-    if rule is RuleId.SMETS_TBM:
-        if k:
-            out[0] = out.get(0, 0.0) + k
-        return Bba._from_masses(frame, out)
-    if rule in (RuleId.DUBOIS_PRADE, RuleId.DSMH):
-        dsmh_transfer(out, ledger, model)
-        return Bba._from_masses(frame, out)
-    raise ValueError(f"unhandled rule {rule!r}")
+        k = ledger.total()
+        rescale = (_TOTAL_CONFLICT_TOL,
+                   TotalConflict(f"conflict mass {k} leaves nothing to normalize"))
+    out = _dispose(dict(out_bba.entries), ledger, _DISPOSALS[rule],
+                   model or EmptinessModel.free(m1.frame), rescale=rescale)
+    return Bba._from_masses(m1.frame, out)
 
 
 def fuse_many(rule: RuleId | str, sources, model: EmptinessModel | None = None,
@@ -321,6 +388,7 @@ def fuse_many(rule: RuleId | str, sources, model: EmptinessModel | None = None,
         return exclusive_disjunctive(*sources)
     if rule is RuleId.MURPHY_AVERAGE:
         return murphy_average(*sources)
+    _check_sources(sources)
     acc = sources[0]
     for nxt in sources[1:]:
         acc = combine(rule, acc, nxt, model)

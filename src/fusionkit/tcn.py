@@ -15,14 +15,13 @@ routing policy (with per-side weights) for the marked mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial, reduce
 
 from .algebra import EmptinessModel
 from .errors import (
     DegenerateWeights,
-    FrameMismatch,
     InputError,
     SchemaError,
     TotalConflict,
@@ -30,7 +29,17 @@ from .errors import (
     ZeroTotalMass,
 )
 from .mass import Bba
-from .rules import ConflictLedger, LedgerEntry, _union_escalate
+from .rules import (
+    _AND,
+    _NEVER,
+    _OR,
+    _TOTAL_CONFLICT_TOL,
+    _check_sources,
+    _dispose,
+    _marks_empty,
+    _pool,
+    _source_masses,
+)
 
 
 class TNorm(Enum):
@@ -73,18 +82,9 @@ def tconorm(kind: TConorm, a: float, b: float) -> float:
     raise InputError(f"unknown T-conorm {kind!r}")
 
 
-def _check_pair(m1: Bba, m2: Bba):
-    if m1.frame != m2.frame:
-        raise FrameMismatch("sources disagree on the frame")
-    return m1.frame
-
-
-def _tn_terms(m1: Bba, m2: Bba, norm: TNorm):
-    for b1, v1 in m1.crisp_items():
-        for b2, v2 in m2.crisp_items():
-            v = tnorm(norm, v1, v2)
-            if v != 0.0:
-                yield b1, v1, b2, v2, v
+def _valuation(norm: TNorm):
+    """Term valuation for the engine: the T-norm folded over the masses."""
+    return partial(reduce, partial(tnorm, norm))
 
 
 def tcn_conjunctive(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -94,17 +94,13 @@ def tcn_conjunctive(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     Returns the (generally unnormalised) combined assignment plus the
     ledger of terms whose intersection the model forces empty.
     """
-    frame = _check_pair(m1, m2)
+    frame = _check_sources((m1, m2))
     model = model or EmptinessModel.free(frame)
-    out: dict = {}
-    ledger = []
-    for b1, _, b2, _, v in _tn_terms(m1, m2, norm):
-        bits = b1 & b2
-        if bits & ~model.forced_empty_bits == 0:
-            ledger.append(LedgerEntry((b1, b2), bits, v))
-        else:
-            out[bits] = out.get(bits, 0.0) + v
-    return Bba._from_masses(frame, out), ConflictLedger(frame, tuple(ledger))
+    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
+    return Bba._from_masses(frame, kept), ledger
+
+
+_VARIANTS = {"dempster": "discard", "yager": "ignorance", "smets": "empty"}
 
 
 def tn_family(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -116,24 +112,18 @@ def tn_family(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     ``yager`` hands the conflict to total ignorance, ``smets`` leaves it
     on the empty set.  Only ``dempster`` returns a normalised result.
     """
-    frame = _check_pair(m1, m2)
     out, ledger = tcn_conjunctive(m1, m2, norm=norm, model=model)
-    k = ledger.total()
-    masses = {b: v for b, v in out.entries}
-    if variant == "dempster":
-        keep = math.fsum(masses.values())
-        if keep <= 1e-12:
-            raise TotalConflict("all combined mass fell on empty sets")
-        return Bba._from_masses(frame, {b: v / keep for b, v in masses.items()})
-    if variant == "yager":
-        full = frame.universe_bits
-        masses[full] = masses.get(full, 0.0) + k
-        return Bba._from_masses(frame, masses)
-    if variant == "smets":
-        if k:
-            masses[0] = masses.get(0, 0.0) + k
-        return Bba._from_masses(frame, masses)
-    raise InputError(f"unknown variant {variant!r}")
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise InputError(f"unknown variant {variant!r}")
+    rescale = (_TOTAL_CONFLICT_TOL, TotalConflict("all combined mass fell on empty sets"))
+    masses = _dispose(dict(out.entries), ledger, _VARIANTS[variant],
+                      rescale=rescale if variant == "dempster" else None)
+    return Bba._from_masses(m1.frame, masses)
+
+
+def _unit_total(normalize: bool = True):
+    """Final rescale of the T-norm rules and the master formula."""
+    return (0.0, ZeroTotalMass("nothing to rescale")) if normalize else None
 
 
 def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -142,27 +132,15 @@ def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     """Proportional conflict transfer where each side of a conflicting
     pair gets its mass times T-norm over T-conorm of the pair, then the
     whole assignment is rescaled to sum to one."""
-    frame = _check_pair(m1, m2)
+    frame = _check_sources((m1, m2))
     model = model or EmptinessModel.free(frame)
     conorm = conorm or DUAL_CONORM[norm]
-    out: dict = {}
-    for b1, v1, b2, v2, v in _tn_terms(m1, m2, norm):
-        bits = b1 & b2
-        if bits & ~model.forced_empty_bits:
-            out[bits] = out.get(bits, 0.0) + v
-            continue
-        den = tconorm(conorm, v1, v2)
-        if den == 0.0:
-            raise ZeroDenominator(
-                "conflicting pair with zero T-conorm value"
-            )
-        ratio = v / den
-        out[b1] = out.get(b1, 0.0) + v1 * ratio
-        out[b2] = out.get(b2, 0.0) + v2 * ratio
-    total = math.fsum(out.values())
-    if total <= 0.0:
-        raise ZeroTotalMass("nothing to rescale")
-    return Bba._from_masses(frame, {b: v / total for b, v in out.items()})
+    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
+    out = _dispose(
+        kept, ledger, "ratio", model, weights=_source_masses(m1, m2),
+        conorm=partial(tconorm, conorm), rescale=_unit_total(),
+        on_zero=ZeroDenominator("conflicting pair with zero T-conorm value"))
+    return Bba._from_masses(frame, out)
 
 
 def pcr5v2_tn(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -176,27 +154,11 @@ def pcr5v2_tn(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     conserves ``v`` exactly.  Pass ``normalize=True`` to rescale the
     result by its own total at the end.
     """
-    frame = _check_pair(m1, m2)
+    frame = _check_sources((m1, m2))
     model = model or EmptinessModel.free(frame)
-    out: dict = {}
-    for b1, v1, b2, v2, v in _tn_terms(m1, m2, norm):
-        bits = b1 & b2
-        if bits & ~model.forced_empty_bits:
-            out[bits] = out.get(bits, 0.0) + v
-            continue
-        den = v1 + v2
-        if den == 0.0:
-            target = _union_escalate(frame, b1 | b2, model)
-            out[target] = out.get(target, 0.0) + v
-            continue
-        x = v1 * v / den
-        out[b1] = out.get(b1, 0.0) + x
-        out[b2] = out.get(b2, 0.0) + (v - x)
-    if normalize:
-        total = math.fsum(out.values())
-        if total <= 0.0:
-            raise ZeroTotalMass("nothing to rescale")
-        out = {b: v / total for b, v in out.items()}
+    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
+    out = _dispose(kept, ledger, "split", model, weights=_source_masses(m1, m2),
+                   rescale=_unit_total(normalize))
     return Bba._from_masses(frame, out)
 
 
@@ -274,67 +236,49 @@ def _weight(spec: str, source_mass: float) -> float:
     raise InputError(f"unknown weight spec {spec!r}")
 
 
+#: Disposal of the marked mass for each transfer policy.
+_TRANSFERS = {
+    TransferPolicy.PAIR_PROPORTIONAL: "split",
+    TransferPolicy.DISCARD: "discard",
+    TransferPolicy.UNION: "union",
+    TransferPolicy.IGNORANCE: "ignorance",
+}
+
+
 def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
                 model: EmptinessModel | None = None) -> Bba:
     """Evaluate the master combination formula.
 
-    With the product combiner, conjunctive star, model-empty transfer
-    marking, source-mass weights and no final rescaling this reproduces
-    the proportional-conflict rule exactly; swapping the transfer policy
-    to discard-and-normalize reproduces the classical normalised rule.
+    With the product combiner, conjunctive star, ``"model_empty"``
+    marking and source-mass weights, each transfer policy is a classical
+    rule run on the same engine, and equals it to rounding:
+    ``PAIR_PROPORTIONAL`` is PCR5, ``DISCARD`` with ``normalize=True`` is
+    Dempster (without it, the conjunctive rule's kept mass), ``UNION``
+    is Dubois-Prade / DSm hybrid, and ``IGNORANCE`` is Yager.
     """
-    frame = _check_pair(m1, m2)
+    frame = _check_sources((m1, m2))
     model = model or EmptinessModel.free(frame)
 
     if isinstance(config.transferable, tuple):
-        marked = {frame.atoms_of(e).bits for e in config.transferable}
-
-        def is_marked(bits: int) -> bool:
-            return bits in marked
-
+        listed = frozenset(frame.atoms_of(e).bits for e in config.transferable)
+        marked = listed.__contains__
     elif config.transferable == "model_empty":
-        def is_marked(bits: int) -> bool:
-            return bits & ~model.forced_empty_bits == 0
-
+        marked = _marks_empty(model)
     elif config.transferable == "never":
-        def is_marked(bits: int) -> bool:
-            return False
-
+        marked = _NEVER
     else:
         raise InputError(f"unknown transferable spec {config.transferable!r}")
 
-    out: dict = {}
-    for b1, v1, b2, v2, v in _tn_terms(m1, m2, config.combiner):
-        bits = b1 & b2 if config.star is StarOp.CONJUNCTIVE else b1 | b2
-        if not is_marked(bits):
-            out[bits] = out.get(bits, 0.0) + v
-            continue
-        if config.transfer is TransferPolicy.DISCARD:
-            continue
-        if config.transfer is TransferPolicy.UNION:
-            target = _union_escalate(frame, b1 | b2, model)
-            out[target] = out.get(target, 0.0) + v
-            continue
-        if config.transfer is TransferPolicy.IGNORANCE:
-            full = frame.universe_bits
-            out[full] = out.get(full, 0.0) + v
-            continue
-        w1 = _weight(config.weight_1, v1)
-        w2 = _weight(config.weight_2, v2)
-        den = w1 + w2
-        if den == 0.0:
-            if v > 0.0:
-                raise DegenerateWeights(
-                    "marked value with zero total routing weight"
-                )
-            continue
-        x = w1 * v / den
-        out[b1] = out.get(b1, 0.0) + x
-        out[b2] = out.get(b2, 0.0) + (v - x)
+    star = _AND if config.star is StarOp.CONJUNCTIVE else _OR
+    kept, ledger = _pool((m1, m2), star, marked, _valuation(config.combiner))
+    source = _source_masses(m1, m2)
 
-    if config.normalize:
-        total = math.fsum(out.values())
-        if total <= 0.0:
-            raise ZeroTotalMass("nothing to rescale")
-        out = {b: v / total for b, v in out.items()}
+    def weights(entry):
+        w1, w2 = source(entry)
+        return _weight(config.weight_1, w1), _weight(config.weight_2, w2)
+
+    out = _dispose(
+        kept, ledger, _TRANSFERS[config.transfer], model, weights=weights,
+        rescale=_unit_total(config.normalize),
+        on_zero=DegenerateWeights("marked value with zero total routing weight"))
     return Bba._from_masses(frame, out)

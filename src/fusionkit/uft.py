@@ -33,7 +33,6 @@ from enum import Enum
 
 from .algebra import AtomSet, EmptinessModel, Frame, World
 from .errors import (
-    BadGrouping,
     FrameMismatch,
     InputError,
     LengthMismatch,
@@ -41,7 +40,7 @@ from .errors import (
     SchemaError,
 )
 from .mass import Bba, discount, make_bba
-from .rules import _count_leaves, _union_escalate, product_terms
+from .rules import _AND, _OR, _XOR, _grouping, _split, _union_escalate, product_terms
 
 
 class Relationship(Enum):
@@ -257,52 +256,26 @@ class UftResult:
 # --- term expansion ----------------------------------------------------------
 
 
+#: Star of the combination step for each reliability kind without a
+#: grouping tree; every other kind is conjunctive.
+_STEP_STARS = {
+    ReliabilityKind.SOME_UNKNOWN_UNRELIABLE: _OR,
+    ReliabilityKind.EXACTLY_ONE_RELIABLE_UNKNOWN: _XOR,
+}
+
+
 def _step_terms(scenario: UftScenario):
     """Expand the reliability-selected combination into product terms."""
     rel = scenario.reliability
     sources = scenario.sources
     if rel.kind is ReliabilityKind.DISCOUNTS:
         sources = tuple(discount(s, a) for s, a in zip(sources, rel.alphas))
-
-    frame = scenario.frame
     if rel.kind is ReliabilityKind.MIXED_GROUPING:
-        seen: set = set()
-        _count_leaves(rel.grouping, seen, len(sources))
-        if len(seen) != len(sources):
-            raise BadGrouping("every source must appear exactly once")
-
-        def result_bits(ops):
-            def ev(tree):
-                if isinstance(tree, int):
-                    return ops[tree]
-                _, l, r = tree
-                return ev(l) & ev(r) if tree[0] == "and" else ev(l) | ev(r)
-
-            return ev(rel.grouping)
-
-    elif rel.kind is ReliabilityKind.SOME_UNKNOWN_UNRELIABLE:
-        def result_bits(ops):
-            bits = 0
-            for b in ops:
-                bits |= b
-            return bits
-
-    elif rel.kind is ReliabilityKind.EXACTLY_ONE_RELIABLE_UNKNOWN:
-        def result_bits(ops):
-            bits = 0
-            for b in ops:
-                bits ^= b
-            return bits
-
-    else:  # conjunctive step
-        def result_bits(ops):
-            bits = frame.universe_bits
-            for b in ops:
-                bits &= b
-            return bits
-
+        star = _grouping(rel.grouping, len(sources))
+    else:
+        star = _STEP_STARS.get(rel.kind, _AND)
     for ops, p in product_terms(sources):
-        yield sources, ops, result_bits(ops), p
+        yield sources, ops, star(ops), p
 
 
 # --- redistribution ----------------------------------------------------------
@@ -323,17 +296,8 @@ def _proportional_split(ops, p, ctx: RedistContext):
     shares = [ctx.sources[i].mass(b) for i, b in enumerate(ops)]
     den = math.fsum(shares)
     if den == 0.0:
-        bits = 0
-        for b in ops:
-            bits |= b
-        return [(_union_escalate(ctx.frame, bits, ctx.model), p)]
-    out = []
-    left = p
-    for i, b in enumerate(ops):
-        x = left if i == len(ops) - 1 else shares[i] * p / den
-        out.append((b, x))
-        left -= x
-    return out
+        return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
+    return _split(p, tuple(zip(ops, shares)), den)
 
 
 def _other_singletons(ctx: RedistContext, sides):
@@ -356,11 +320,8 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
     """Route one product term (ops, result, mass); returns
     [(target bits, mass), ...] summing exactly to the term's mass."""
     ops, result, p = term
-    bits_all = 0
-    for b in ops:
-        bits_all |= b
     ann = ctx.annotation
-    union_bits = ann.union_bits if ann is not None else bits_all
+    union_bits = ann.union_bits if ann is not None else _OR(ops)
 
     if rel is Relationship.CONSENSUS:
         return [(result, p)]
@@ -396,12 +357,7 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
         if wsum == 0.0:
             weights = [1.0] * len(targets)
             wsum = float(len(targets))
-        out, left = [], p
-        for i, t in enumerate(targets):
-            x = left if i == len(targets) - 1 else weights[i] * p / wsum
-            out.append((t, x))
-            left -= x
-        return out
+        return _split(p, tuple(zip(targets, weights)), wsum)
     if rel is Relationship.NEITHER_RIGHT_NO_OTHERS:
         return [(0, p)]
     if rel is Relationship.UNKNOWN_DEFAULT:
@@ -448,11 +404,7 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
         audit.append(TransferRecord(ops, result, p, rel, tuple(targets)))
 
         # pessimism brackets: free-algebra view, annotations ignored
-        and_bits = frame.universe_bits
-        or_bits = 0
-        for b in ops:
-            and_bits &= b
-            or_bits |= b
+        and_bits, or_bits = _AND(ops), _OR(ops)
         if result == and_bits and result not in ops:
             full = frame.universe_bits
             lower_closed[full] = lower_closed.get(full, 0.0) + p
@@ -512,11 +464,8 @@ def reroute_mass(b: Bba, source_set, targets) -> Bba:
     if wsum <= 0:
         raise InputError("target weights must sum to a positive value")
     out = {bits: v for bits, v in b.entries if bits != src.bits}
-    left = p
-    for i, (bits, w) in enumerate(weighted):
-        x = left if i == len(weighted) - 1 else w * p / wsum
+    for bits, x in _split(p, weighted, wsum):
         out[bits] = out.get(bits, 0.0) + x
-        left -= x
     return Bba._from_masses(frame, out)
 
 
@@ -584,6 +533,8 @@ def scenario_from_json(doc: dict) -> UftScenario:
     frame, sources, model = fusion_inputs_from_json(doc)
 
     rdoc = doc.get("reliability", {"kind": "all_reliable"})
+    if not isinstance(rdoc, dict):
+        raise SchemaError("/reliability", "reliability must be an object")
     try:
         kind = ReliabilityKind(rdoc.get("kind", "all_reliable"))
     except ValueError:
@@ -591,7 +542,14 @@ def scenario_from_json(doc: dict) -> UftScenario:
     grouping = None
     if kind is ReliabilityKind.MIXED_GROUPING:
         grouping = _tree_from_json(rdoc.get("tree"), "/reliability/tree")
-    alphas = tuple(rdoc["alphas"]) if kind is ReliabilityKind.DISCOUNTS else None
+    alphas = None
+    if kind is ReliabilityKind.DISCOUNTS:
+        alphas = rdoc.get("alphas")
+        if not (isinstance(alphas, list)
+                and all(isinstance(a, (int, float)) for a in alphas)):
+            raise SchemaError("/reliability/alphas",
+                              "discounts need a list of numbers")
+        alphas = tuple(alphas)
     reliability = Reliability(kind, grouping=grouping, alphas=alphas)
 
     annotations = []

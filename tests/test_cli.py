@@ -104,6 +104,15 @@ class TestFuseCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("rule", ["conjunctive", "dempster", "pcr5"])
+    def test_one_source_is_rejected(self, rule, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(
+            {"frame": ["A", "B"], "sources": [{"A": 0.6, "B": 0.4}]}))
+        code, out, err = run(["fuse", "--rule", rule, str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: need at least two sources\n"
+
 
 class TestUftCommand:
     def test_text_sections(self):
@@ -129,6 +138,20 @@ class TestUftCommand:
         assert doc["deferred"] == []
         assert any(rec["relationship"] == "right_is"
                    for rec in doc["audit"])
+
+    @pytest.mark.parametrize("reliability, pointer", [
+        ("x", "/reliability"),
+        ({"kind": "discounts"}, "/reliability/alphas"),
+        ({"kind": "discounts", "alphas": ["x", 1]}, "/reliability/alphas"),
+    ])
+    def test_malformed_reliability(self, reliability, pointer, tmp_path):
+        doc = json.loads(pathlib.Path(fixture("uft_right_is.json")).read_text())
+        doc["reliability"] = reliability
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["uft", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {pointer}: ")
 
 
 class TestTcnCommand:

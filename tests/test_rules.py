@@ -29,7 +29,7 @@ from fusionkit import (
     product_terms,
     vacuous,
 )
-from fusionkit.errors import BadGrouping, TotalConflict
+from fusionkit.errors import BadGrouping, InputError, TotalConflict
 
 ALL_LABELS = ("A", "B", "C")
 
@@ -376,3 +376,9 @@ class TestFuseMany:
         sources = [random_bba(frame, rng) for _ in range(3)]
         out = fuse_many(RuleId.MIXED, sources, grouping=("or", 0, ("and", 1, 2)))
         assert out == mixed(sources, ("or", 0, ("and", 1, 2)))
+
+    @pytest.mark.parametrize("rule", list(RuleId))
+    def test_one_source_is_rejected(self, rule, pair):
+        _, s1, _ = pair
+        with pytest.raises(InputError, match="need at least two sources"):
+            fuse_many(rule, [s1], grouping=0)
