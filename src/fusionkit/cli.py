@@ -24,11 +24,14 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .algebra import Frame, World, superpower_cardinality
 from .errors import ComputationError, InputError, UsageError
 from .mass import Bba
 from .neutro import NsRecipe, NsTriple, n_conorm, n_norm, ns_not
 from .nimage import (
+    DAM,
     GrayImage,
     SFunctionParams,
     denoise_detailed,
@@ -352,10 +355,7 @@ def _cmd_nimage_segment(args) -> int:
     if n > 253:
         raise InputError(f"{n} regions do not fit distinct 8-bit levels")
     step = 254 // (n + 1)
-    gray = result.labels.copy()
-    for rid in range(1, n + 1):
-        gray[result.labels == rid] = rid * step
-    gray[result.labels == -1] = 255
+    gray = np.where(result.labels == DAM, 255, result.labels * step)
     save_pgm(GrayImage(gray), args.output)
     counts = result.counts()
     sidecar = {

@@ -37,12 +37,22 @@ class NormClass(Enum):
     PARACONSISTENT = "paraconsistent"
 
 
+def _number(v) -> float:
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        raise SchemaError("/masses", f"mass must be a number, got {v!r}") from None
+    if math.isnan(x):
+        raise SchemaError("/masses", "mass is NaN")
+    return x
+
+
 def _check_value(v):
     """Validate one mass value, returning either a float or a (lo, hi) pair."""
     if isinstance(v, (tuple, list)):
         if len(v) != 2:
             raise SchemaError("/masses", f"interval must have 2 endpoints, got {v!r}")
-        lo, hi = float(v[0]), float(v[1])
+        lo, hi = _number(v[0]), _number(v[1])
         if lo > hi:
             raise NegativeMass(f"interval [{lo}, {hi}] is reversed")
         if lo < 0:
@@ -50,7 +60,7 @@ def _check_value(v):
         if hi > 1:
             raise MassAboveOne(f"mass upper bound {hi} above 1")
         return (lo, hi)
-    v = float(v)
+    v = _number(v)
     if v < 0:
         raise NegativeMass(f"mass {v} below 0")
     if v > 1:
@@ -182,7 +192,11 @@ def from_json(doc: dict) -> Bba:
         masses = doc["masses"]
     except (KeyError, TypeError) as exc:
         raise SchemaError("/", f"missing field {exc}") from None
-    frame = Frame(tuple(labels), World(world))
+    try:
+        world = World(world)
+    except ValueError:
+        raise SchemaError("/world", f"unknown world {world!r}") from None
+    frame = Frame(tuple(labels), world)
     return make_bba(frame, masses.items())
 
 

@@ -14,7 +14,6 @@ components may exceed 1 when the inputs are over-specified; use
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,12 +251,15 @@ def classify_ns(x: NsTriple) -> frozenset:
 
 # --- graded allocation operators ---------------------------------------------
 
-_COMPONENTS = ("t", "i", "f")
-
 
 def _crisp_map(x: NsTriple) -> dict:
     t, i, f = x.crisp_components()
     return {"t": t, "i": i, "f": f}
+
+
+def _prod_of_sums(*vectors) -> float:
+    """P(v1, ..., vm): the product over the indices of v1[i] + ... + vm[i]."""
+    return math.prod(map(sum, zip(*vectors)))
 
 
 def ns_combine_graded(order: tuple[str, str, str], *xs: NsTriple) -> NsTriple:
@@ -268,19 +270,19 @@ def ns_combine_graded(order: tuple[str, str, str], *xs: NsTriple) -> NsTriple:
     components weakest first.  Because each monomial lands in exactly
     one component, the component sum of the output is the product of
     the inputs' component sums.
+
+    With A, B, C the component columns in ``order`` and P the product
+    of partial sums, the monomials are summed in O(N) as P(A),
+    P(A, B) - P(A) and P(A, B, C) - P(A, B).
     """
     if sorted(order) != ["f", "i", "t"]:
         raise InputError(f"order must permute t, i, f: {order!r}")
     if len(xs) < 2:
         raise InputError("need at least two triples")
-    rank = {c: k for k, c in enumerate(order)}
     maps = [_crisp_map(x) for x in xs]
-    acc = {"t": 0.0, "i": 0.0, "f": 0.0}
-    for picks in itertools.product(_COMPONENTS, repeat=len(xs)):
-        v = 1.0
-        for m, c in zip(maps, picks):
-            v *= m[c]
-        acc[max(picks, key=rank.get)] += v
+    a, b, c = ([m[name] for m in maps] for name in order)
+    p_a, p_ab = _prod_of_sums(a), _prod_of_sums(a, b)
+    acc = dict(zip(order, (p_a, p_ab - p_a, _prod_of_sums(a, b, c) - p_ab)))
     return NsTriple(acc["t"], acc["i"], acc["f"])
 
 
@@ -359,32 +361,25 @@ def klaw_same(z) -> float:
 
 def klaw_mixed(z, w) -> float:
     """Two-symbol composition: sum over the 2^k - 2 selections that use
-    both symbols, each selection contributing one factor per index."""
-    k = _check_lengths(z, w)
-    total = 0.0
-    for picks in itertools.product((0, 1), repeat=k):
-        if all(p == 0 for p in picks) or all(p == 1 for p in picks):
-            continue
-        v = 1.0
-        for idx, p in enumerate(picks):
-            v *= (z, w)[p][idx]
-        total += v
-    return total
+    both symbols, each selection contributing one factor per index:
+    P(z, w) - P(z) - P(w), with P the product of partial sums.
+    """
+    _check_lengths(z, w)
+    return _prod_of_sums(z, w) - math.prod(z) - math.prod(w)
 
 
 def klaw3(z, w, u) -> float:
     """Three-symbol composition: sum over selections using all three
-    symbols at least once (for k = 3, the six permutations)."""
-    k = _check_lengths(z, w, u)
-    total = 0.0
-    for picks in itertools.product((0, 1, 2), repeat=k):
-        if len(set(picks)) != 3:
-            continue
-        v = 1.0
-        for idx, p in enumerate(picks):
-            v *= (z, w, u)[p][idx]
-        total += v
-    return total
+    symbols at least once (for k = 3, the six permutations).
+
+    By inclusion-exclusion this is P(z,w,u) - P(z,w) - P(w,u) - P(z,u)
+    + P(z) + P(w) + P(u).  The terms cancel, so the absolute error
+    scales with P(z,w,u) rather than with the result.
+    """
+    if _check_lengths(z, w, u) < 3:
+        return 0.0  # k < 3 factors cannot use three symbols
+    return (_prod_of_sums(z, w, u) - _prod_of_sums(z, w) - _prod_of_sums(w, u)
+            - _prod_of_sums(z, u) + math.prod(z) + math.prod(w) + math.prod(u))
 
 
 def klaw_term_count(kind: str, k: int) -> int:

@@ -43,7 +43,7 @@ class GrayImage:
         if arr.ndim != 2 or arr.size == 0:
             raise BadDimensions("pixels must form a non-empty 2-D grid")
         if arr.dtype != np.uint8:
-            if np.any((arr < 0) | (arr > 255)):
+            if not np.all((arr >= 0) & (arr <= 255)):
                 raise BadDimensions("intensities must lie in [0, 255]")
             arr = arr.astype(np.uint8)
         arr = arr.copy()
@@ -141,7 +141,7 @@ def load_pgm(path) -> GrayImage:
         flat = np.asarray(values, dtype=np.int64)
     if np.any(flat > maxval):
         raise TruncatedData("sample above declared maxval")
-    return GrayImage.from_flat(width, height, flat)
+    return GrayImage(flat.reshape(height, width))
 
 
 def save_pgm(img: GrayImage, path, binary: bool = True) -> None:
@@ -228,9 +228,10 @@ def ns_to_gray(ns: NsImage) -> GrayImage:
     return GrayImage(np.clip(np.rint(g), 0, 255).astype(np.uint8))
 
 
-def _plane_entropy(plane: np.ndarray, bins: int) -> float:
-    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
-    p = counts[counts > 0] / plane.size
+def _plane_entropy(plane: np.ndarray, bins: int, weights=None) -> float:
+    """Histogram entropy; ``weights[k]`` pixels share the value ``plane[k]``."""
+    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0), weights=weights)
+    p = counts[counts > 0] / (plane.size if weights is None else weights.sum())
     return float(-np.sum(p * np.log(p))) + 0.0
 
 
@@ -361,7 +362,8 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
 
     a and c are the lowest and highest occupied intensities; b sweeps
     every intensity strictly between them and keeps the one whose
-    resulting planes have the largest total entropy.
+    resulting planes have the largest total entropy.  T depends on the
+    gray level alone, so the planes are histogrammed over the 256 levels.
     """
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     occupied = np.nonzero(hist)[0]
@@ -370,13 +372,14 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     a, c = int(occupied[0]), int(occupied[-1])
     if c - a < 2:
         raise DegenerateHistogram("no intensity strictly between a and c")
-    g = img.pixels.astype(np.float64)
-    _, i_plane = _indeterminacy(g, w)
+    _, i_plane = _indeterminacy(img.pixels.astype(np.float64), w)
+    en_i = _plane_entropy(i_plane, bins)
+    levels = np.arange(256.0)
     best_b, best_en = None, -1.0
     for b in range(a + 1, c):
-        t = s_function(g, SFunctionParams(a, b, c))
-        en = _plane_entropy(t, bins) + _plane_entropy(1.0 - t, bins)
-        en += _plane_entropy(i_plane, bins)
+        t = s_function(levels, SFunctionParams(a, b, c))
+        en = _plane_entropy(t, bins, hist) + _plane_entropy(1.0 - t, bins, hist)
+        en += en_i
         if en > best_en:
             best_b, best_en = b, en
     return SFunctionParams(float(a), float(best_b), float(c))
@@ -414,7 +417,8 @@ def segment(img: GrayImage, params: SFunctionParams, *,
     contested: every region (background included) dilates one step per
     round, a pixel claimed by two different regions in the same round
     becomes a dam, and pockets no front can reach are marked as dams so
-    the final map is a partition.
+    the final map is a partition.  A pixel is claimed by one region
+    exactly when the maximum and minimum filters see the same label.
     """
     if not (0.0 <= t_low <= t_high <= 1.0):
         raise BadParams(f"need 0 <= t_low <= t_high <= 1, got ({t_low}, {t_high})")
@@ -430,23 +434,19 @@ def segment(img: GrayImage, params: SFunctionParams, *,
     labels[background_mask] = BACKGROUND
     labels[object_mask] = comp[object_mask]
 
-    region_ids = list(range(0 if background_mask.any() else 1, n_objects + 1))
+    above = n_objects + 1  # DAM and _UNASSIGNED already lie below every region
     while True:
         unassigned = labels == _UNASSIGNED
         if not unassigned.any():
             break
-        claims = np.zeros(labels.shape, dtype=np.int32)
-        claimant = np.full(labels.shape, _UNASSIGNED, dtype=np.int32)
-        for rid in region_ids:
-            front = ndimage.binary_dilation(labels == rid, structure=_STRUCT)
-            front &= unassigned
-            claims += front
-            claimant[front] = rid
-        single = claims == 1
-        contested = claims >= 2
-        if not (single.any() or contested.any()):
+        hi = ndimage.maximum_filter(labels, size=3, mode="constant", cval=DAM)
+        lo = ndimage.minimum_filter(np.where(labels < 0, above, labels), size=3,
+                                    mode="constant", cval=above)
+        reached = unassigned & (hi >= 0)
+        if not reached.any():
             labels[unassigned] = DAM
             break
-        labels[single] = claimant[single]
-        labels[contested] = DAM
+        single = reached & (hi == lo)
+        labels[single] = hi[single]
+        labels[reached & ~single] = DAM
     return SegmentResult(labels, n_objects)

@@ -499,6 +499,10 @@ def uft_fuse_dynamic(initial: Bba, stream, *, model: EmptinessModel | None = Non
 # --- JSON loading ------------------------------------------------------------
 
 
+def _is_strings(node) -> bool:
+    return isinstance(node, list) and all(isinstance(x, str) for x in node)
+
+
 def fusion_inputs_from_json(doc: dict):
     """Frame, sources and emptiness model from a scenario document.
 
@@ -515,7 +519,11 @@ def fusion_inputs_from_json(doc: dict):
         world = World(doc.get("world", "closed"))
     except ValueError:
         raise SchemaError("/world", f"unknown world {doc.get('world')!r}") from None
+    if not _is_strings(doc["frame"]):
+        raise SchemaError("/frame", "frame must be a list of labels")
     frame = Frame(tuple(doc["frame"]), world)
+    if not isinstance(doc["sources"], list):
+        raise SchemaError("/sources", "sources must be a list")
     sources = []
     for i, masses in enumerate(doc["sources"]):
         if not isinstance(masses, dict):
@@ -524,7 +532,10 @@ def fusion_inputs_from_json(doc: dict):
             sources.append(make_bba(frame, masses.items()))
         except InputError as exc:
             raise SchemaError(f"/sources/{i}", str(exc)) from exc
-    model = EmptinessModel.from_exprs(frame, doc.get("model", []))
+    model = doc.get("model", [])
+    if not _is_strings(model):
+        raise SchemaError("/model", "model must be a list of set expressions")
+    model = EmptinessModel.from_exprs(frame, model)
     return frame, tuple(sources), model
 
 
@@ -553,19 +564,27 @@ def scenario_from_json(doc: dict) -> UftScenario:
     reliability = Reliability(kind, grouping=grouping, alphas=alphas)
 
     annotations = []
-    for i, adoc in enumerate(doc.get("annotations", [])):
+    adocs = doc.get("annotations", [])
+    if not isinstance(adocs, list):
+        raise SchemaError("/annotations", "annotations must be a list")
+    for i, adoc in enumerate(adocs):
         ptr = f"/annotations/{i}"
         try:
             x, y = adoc["pair"]
             rel = Relationship(adoc["rel"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(ptr, f"bad annotation: {exc}") from None
-        side = frame.atoms_of(adoc["side"]) if "side" in adoc else None
+        side = adoc.get("side")
+        if not _is_strings([x, y] if side is None else [x, y, side]):
+            raise SchemaError(ptr, "pair and side must be set expressions")
+        side = None if side is None else frame.atoms_of(side)
         annotations.append(
             Annotation((frame.atoms_of(x), frame.atoms_of(y)), rel, side)
         )
 
     odoc = doc.get("options", {})
+    if not isinstance(odoc, dict):
+        raise SchemaError("/options", "options must be an object")
     options = UftOptions(
         neither_right_proportional=bool(odoc.get("neither_right_proportional", False)),
         middle_from_average=bool(odoc.get("middle_from_average", False)),

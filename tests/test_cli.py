@@ -154,6 +154,58 @@ class TestUftCommand:
         assert err.startswith(f"error: {pointer}: ")
 
 
+SCENARIO_COMMANDS = {
+    "fuse": ["fuse", "--rule", "pcr5"],
+    "uft": ["uft"],
+    "tcn": ["tcn"],
+    "ufr": ["ufr"],
+}
+
+
+def scenario_file(tmp_path, edit):
+    """The uft fixture after ``edit`` changed its document."""
+    doc = json.loads(pathlib.Path(fixture("uft_right_is.json")).read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def rejected(argv, pointer):
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {pointer}: ")
+    assert "Traceback" not in err
+
+
+class TestMalformedScenarios:
+    @pytest.mark.parametrize("mass", ["x", None, {}, math.nan, [0.1, math.nan]])
+    @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+    def test_bad_mass_value(self, command, mass, tmp_path):
+        path = scenario_file(tmp_path, lambda d: d["sources"][0].update(A=mass))
+        rejected(SCENARIO_COMMANDS[command] + [path], "/sources/0")
+
+    @pytest.mark.parametrize("key, value, pointer", [
+        ("sources", 5, "/sources"),
+        ("frame", "AB", "/frame"),
+        ("frame", [1, 2], "/frame"),
+        ("model", 5, "/model"),
+    ])
+    @pytest.mark.parametrize("command", SCENARIO_COMMANDS)
+    def test_bad_shape(self, command, key, value, pointer, tmp_path):
+        path = scenario_file(tmp_path, lambda d: d.update({key: value}))
+        rejected(SCENARIO_COMMANDS[command] + [path], pointer)
+
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda d: d.update(options=3), "/options"),
+        (lambda d: d.update(annotations=5), "/annotations"),
+        (lambda d: d["annotations"][0].update(side=3), "/annotations/0"),
+        (lambda d: d["annotations"][0].update(pair=[1, 2]), "/annotations/0"),
+    ])
+    def test_bad_uft_block(self, edit, pointer, tmp_path):
+        rejected(["uft", scenario_file(tmp_path, edit)], pointer)
+
+
 class TestTcnCommand:
     def test_conjunctive_text(self):
         code, out, _ = run(["tcn", "--variant", "conjunctive",

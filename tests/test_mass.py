@@ -24,6 +24,7 @@ from fusionkit.errors import (
     IntervalNotSupported,
     MassAboveOne,
     NegativeMass,
+    SchemaError,
     UnknownLabel,
     ZeroTotalMass,
 )
@@ -65,6 +66,14 @@ class TestConstruction:
             make_bba(frame, {"A": 1.2})
         with pytest.raises(UnknownLabel):
             make_bba(frame, {"Q": 1.0})
+
+    @pytest.mark.parametrize("value", [
+        "x", None, {}, math.nan, [math.nan, 0.5], [0.1, math.nan], ["x", 0.5],
+    ])
+    def test_non_numbers_and_nan_rejected(self, frame, value):
+        with pytest.raises(SchemaError) as exc:
+            make_bba(frame, {"A": value})
+        assert exc.value.pointer == "/masses"
 
     def test_interval_masses(self, frame):
         b = make_bba(frame, {"A": (0.2, 0.4), "B": (0.5, 0.7)})
@@ -142,6 +151,11 @@ class TestSerialization:
     def test_round_trip_intervals(self, frame):
         b = make_bba(frame, {"A": (0.2, 0.4), "A|B": (0.6, 0.8)})
         assert from_json(b.to_json()) == b
+
+    def test_unknown_world_rejected(self):
+        with pytest.raises(SchemaError) as exc:
+            from_json({"frame": ["A", "B"], "world": "flat", "masses": {"A": 1.0}})
+        assert exc.value.pointer == "/world"
 
     def test_to_dict_uses_canonical_names(self, frame):
         b = make_bba(frame, {"B|A": 0.4, "A&B": 0.6})

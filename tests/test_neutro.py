@@ -1,10 +1,14 @@
 """Triple-valued logic: connectives, graded allocation, k-law sums."""
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import (
     NS_ONE,
@@ -46,6 +50,46 @@ from fusionkit.errors import (
 from fusionkit.neutro import n_conorm, n_norm
 
 GRID = [round(0.05 * i, 2) for i in range(21)]
+PROPERTY = settings(max_examples=60, deadline=None)
+#: Fixed from the arithmetic, not from observed errors: each answer is
+#: a difference of products, so its absolute error scales with the
+#: product of all the component sums.
+REL_TOL = 1e-12
+
+components = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@contextlib.contextmanager
+def finishes_within(seconds: float):
+    """Fail, instead of hanging, when the body outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def tolerance(full: float) -> float:
+    return REL_TOL * max(1.0, full)
+
+
+def oracle_selections(*vectors):
+    """Sum over the selections that use every vector at least once, one
+    factor per index: the 2^k - 2 or 3^k - 3*2^k + 3 terms one by one."""
+    total = 0.0
+    for picks in itertools.product(range(len(vectors)), repeat=len(vectors[0])):
+        if len(set(picks)) != len(vectors):
+            continue
+        v = 1.0
+        for idx, p in enumerate(picks):
+            v *= vectors[p][idx]
+        total += v
+    return total
 
 
 def random_triple(rng, normalized=False):
@@ -301,6 +345,26 @@ class TestGradedAllocation:
         with pytest.raises(InputError):
             ns_combine_graded(("t", "i", "f"), x)
 
+    @PROPERTY
+    @given(st.permutations(("t", "i", "f")),
+           st.lists(st.tuples(components, components, components),
+                    min_size=2, max_size=8))
+    def test_matches_the_oracle_up_to_eight_triples(self, order, rows):
+        xs = [NsTriple(*row) for row in rows]
+        got = ns_combine_graded(tuple(order), *xs)
+        want = self.oracle(order, xs)
+        tol = tolerance(math.prod(sum(row) for row in rows))
+        for a, b in zip(got.crisp_components(), want.crisp_components()):
+            assert abs(a - b) <= tol
+
+    def test_two_hundred_triples_at_once(self):
+        rng = random.Random(16)
+        xs = [random_triple(rng) for _ in range(200)]
+        with finishes_within(1.0):
+            out = ns_combine_graded(("t", "i", "f"), *xs)
+        full = math.prod(vector_norm(x) for x in xs)
+        assert vector_norm(out) == pytest.approx(full, rel=REL_TOL)
+
 
 class TestNormalization:
     def test_rescale_to_one(self):
@@ -374,6 +438,29 @@ class TestKLaw:
                 + math.prod(z) + math.prod(w) + math.prod(u)
             )
             assert klaw3(z, w, u) == pytest.approx(want, abs=1e-12)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(components, components, components),
+                    min_size=2, max_size=10))
+    def test_match_the_selection_oracles(self, rows):
+        z, w, u = (list(col) for col in zip(*rows))
+        assert abs(klaw_mixed(z, w) - oracle_selections(z, w)) <= tolerance(
+            math.prod(a + b for a, b in zip(z, w)))
+        assert abs(klaw3(z, w, u) - oracle_selections(z, w, u)) <= tolerance(
+            math.prod(map(sum, rows)))
+
+    def test_two_hundred_entries_at_once(self):
+        rng = random.Random(17)
+        z, w, u = ([rng.random() for _ in range(200)] for _ in range(3))
+        with finishes_within(1.0):
+            mixed = klaw_mixed(z, w)
+            triple = klaw3(z, w, u)
+            pairs = [klaw_mixed(x, y) for x, y in ((z, w), (z, u), (w, u))]
+        sames = [klaw_same(z), klaw_same(w), klaw_same(u)]
+        assert sames[0] + sames[1] + mixed == pytest.approx(
+            math.prod(a + b for a, b in zip(z, w)), rel=REL_TOL)
+        assert triple + sum(pairs) + sum(sames) == pytest.approx(
+            math.prod(a + b + c for a, b, c in zip(z, w, u)), rel=REL_TOL)
 
     def test_ones_count_the_terms(self):
         for k in (2, 3, 4):

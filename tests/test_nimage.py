@@ -66,6 +66,10 @@ class TestGrayImage:
         with pytest.raises(BadDimensions):
             GrayImage(np.array([[0, 300]]))
 
+    def test_nan_intensity_rejected(self):
+        with pytest.raises(BadDimensions):
+            GrayImage([[1.0, math.nan]])
+
     def test_immutable(self):
         img = checkerboard()
         with pytest.raises(AttributeError):
@@ -352,3 +356,147 @@ class TestSegment:
         with pytest.raises(BadParams):
             segment(img, self.PARAMS, t_low=0.2, t_high=0.8,
                     i_threshold=-0.5)
+
+
+# --- reference paths -----------------------------------------------------------
+#
+# The loops below are the first, direct transcriptions of region growth
+# and of the knot fit.  The library computes the same results another
+# way; these pin them exactly.
+
+_STRUCT = np.ones((3, 3), dtype=bool)
+
+
+def reference_segment(img, params, *, t_low, t_high, i_threshold, w=3):
+    """Every region dilates on its own each round; a pixel claimed by
+    two regions in one round becomes a dam."""
+    ns = sfunction_ns(img, params, w)
+    calm = ns.i < i_threshold
+    object_mask = (ns.t >= t_high) & calm
+    background_mask = (ns.t <= t_low) & calm
+    comp, n_objects = ndimage.label(object_mask, structure=_STRUCT)
+    labels = np.full(img.pixels.shape, -2, dtype=np.int32)
+    labels[background_mask] = 0
+    labels[object_mask] = comp[object_mask]
+    region_ids = range(0 if background_mask.any() else 1, n_objects + 1)
+    while True:
+        unassigned = labels == -2
+        if not unassigned.any():
+            break
+        claims = np.zeros(labels.shape, dtype=np.int32)
+        claimant = np.full(labels.shape, -2, dtype=np.int32)
+        for rid in region_ids:
+            front = ndimage.binary_dilation(labels == rid, structure=_STRUCT)
+            front &= unassigned
+            claims += front
+            claimant[front] = rid
+        single = claims == 1
+        contested = claims >= 2
+        if not (single.any() or contested.any()):
+            labels[unassigned] = -1
+            break
+        labels[single] = claimant[single]
+        labels[contested] = -1
+    return labels, n_objects
+
+
+def reference_entropy(plane, bins):
+    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
+    p = counts[counts > 0] / plane.size
+    return float(-np.sum(p * np.log(p))) + 0.0
+
+
+def reference_fit_abc(img, w=3, bins=64):
+    """The S-function on every pixel for every candidate b."""
+    hist = np.bincount(img.pixels.ravel(), minlength=256)
+    occupied = np.nonzero(hist)[0]
+    a, c = int(occupied[0]), int(occupied[-1])
+    g = img.pixels.astype(np.float64)
+    i_plane = to_ns(img, w).i
+    best_b, best_en = None, -1.0
+    for b in range(a + 1, c):
+        t = s_function(g, SFunctionParams(a, b, c))
+        en = reference_entropy(t, bins) + reference_entropy(1.0 - t, bins)
+        en += reference_entropy(i_plane, bins)
+        if en > best_en:
+            best_b, best_en = b, en
+    return SFunctionParams(float(a), float(best_b), float(c))
+
+
+def dot_grid(size=96):
+    """Gray field, bright dots every 8 px and dark dots every 16 px."""
+    px = np.full((size, size), 128, dtype=np.uint8)
+    px[::8, ::8] = 250
+    px[4::16, 4::16] = 0
+    return GrayImage(px)
+
+
+def random_image(kind, seed, shape=(40, 56)):
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        px = rng.integers(0, 256, shape)
+    elif kind == "blobs":
+        smooth = ndimage.gaussian_filter(rng.random(shape), 3.0)
+        lo, hi = smooth.min(), smooth.max()
+        px = np.rint(255 * (smooth - lo) / (hi - lo))
+    elif kind == "levels":
+        coarse = rng.choice([0, 64, 128, 192, 255], (shape[0] // 4, shape[1] // 4))
+        px = np.kron(coarse, np.ones((4, 4), dtype=np.int64))
+    else:  # sparse bright and dark dots on a gray field
+        px = np.full(shape, 128)
+        px[rng.random(shape) < 0.03] = 250
+        px[rng.random(shape) < 0.03] = 0
+    return GrayImage(px.astype(np.uint8))
+
+
+KINDS = ("noise", "blobs", "levels", "dots")
+SEGMENT_SETTINGS = (
+    (SFunctionParams(10.0, 100.0, 200.0), 0.1, 0.9, 1.01),
+    (SFunctionParams(30.0, 125.0, 220.0), 0.2, 0.8, 0.5),
+    (SFunctionParams(0.0, 60.0, 255.0), 0.3, 0.6, 0.2),
+)
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("setting", range(len(SEGMENT_SETTINGS)))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_segment_labels_are_identical(self, kind, seed, setting):
+        params, t_low, t_high, i_threshold = SEGMENT_SETTINGS[setting]
+        img = random_image(kind, seed)
+        seg = segment(img, params, t_low=t_low, t_high=t_high,
+                      i_threshold=i_threshold)
+        labels, n_objects = reference_segment(
+            img, params, t_low=t_low, t_high=t_high, i_threshold=i_threshold)
+        assert seg.n_objects == n_objects
+        assert np.array_equal(seg.labels, labels)
+
+    def test_dot_grid_with_many_regions(self):
+        img = dot_grid()
+        params = SFunctionParams(10.0, 100.0, 200.0)
+        kw = dict(t_low=0.1, t_high=0.9, i_threshold=1.01)
+        seg = segment(img, params, **kw)
+        labels, n_objects = reference_segment(img, params, **kw)
+        assert seg.n_objects == n_objects > 100
+        assert np.array_equal(seg.labels, labels)
+        assert (labels == -1).any()
+
+    def test_no_seed_image_is_all_dams(self):
+        img = random_image("noise", 0)
+        params = SFunctionParams(10.0, 100.0, 200.0)
+        kw = dict(t_low=0.1, t_high=0.9, i_threshold=0.0)
+        seg = segment(img, params, **kw)
+        labels, n_objects = reference_segment(img, params, **kw)
+        assert seg.n_objects == n_objects == 0
+        assert np.array_equal(seg.labels, labels)
+        assert np.all(labels == -1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_abc_knots_are_identical(self, kind, seed):
+        img = random_image(kind, seed)
+        assert fit_abc(img) == reference_fit_abc(img)
+
+    def test_fit_abc_on_the_dot_grid(self):
+        img = dot_grid(48)
+        assert fit_abc(img, w=5, bins=32) == reference_fit_abc(img, w=5, bins=32)
