@@ -184,6 +184,10 @@ def make_bba(frame: Frame, assignments) -> Bba:
     return Bba._from_masses(frame, masses)
 
 
+def _is_strings(node) -> bool:
+    return isinstance(node, list) and all(isinstance(x, str) for x in node)
+
+
 def from_json(doc: dict) -> Bba:
     """Inverse of :meth:`Bba.to_json`."""
     try:
@@ -196,6 +200,10 @@ def from_json(doc: dict) -> Bba:
         world = World(world)
     except ValueError:
         raise SchemaError("/world", f"unknown world {world!r}") from None
+    if not _is_strings(labels):
+        raise SchemaError("/frame", "frame must be a list of labels")
+    if not isinstance(masses, dict):
+        raise SchemaError("/masses", "masses must be an object")
     frame = Frame(tuple(labels), world)
     return make_bba(frame, masses.items())
 

@@ -77,16 +77,19 @@ class NsTriple:
 
     @classmethod
     def from_json(cls, doc) -> "NsTriple":
+        def number(key, v):
+            if isinstance(v, (int, float)):
+                return float(v)
+            raise InputError(f"bad component {key!r}: {v!r}")
+
         if isinstance(doc, (list, tuple)) and len(doc) == 3:
-            return cls(*(float(v) for v in doc))
+            return cls(*(number(key, v) for key, v in zip("tif", doc)))
         if isinstance(doc, dict):
             def comp(key):
                 v = doc.get(key)
-                if isinstance(v, (int, float)):
-                    return float(v)
                 if isinstance(v, (list, tuple)) and len(v) == 2:
-                    return (float(v[0]), float(v[1]))
-                raise InputError(f"bad component {key!r}: {v!r}")
+                    return (number(key, v[0]), number(key, v[1]))
+                return number(key, v)
 
             return cls(comp("t"), comp("i"), comp("f"))
         raise InputError(f"bad triple document {doc!r}")

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import (
@@ -229,8 +230,17 @@ def ns_to_gray(ns: NsImage) -> GrayImage:
 
 
 def _plane_entropy(plane: np.ndarray, bins: int, weights=None) -> float:
-    """Histogram entropy; ``weights[k]`` pixels share the value ``plane[k]``."""
-    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0), weights=weights)
+    """Histogram entropy; ``weights[k]`` pixels share the value ``plane[k]``.
+
+    Values in [0, 1] are binned by ``np.histogram``'s own rule over that
+    range, including its one-ulp corrections against the bin edges.
+    """
+    x = plane.ravel()
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    k = np.minimum((x * bins).astype(np.intp), bins - 1)
+    k -= x < edges[k]
+    k += (x >= edges[k + 1]) & (k != bins - 1)
+    counts = np.bincount(k, weights=weights, minlength=bins)
     p = counts[counts > 0] / (plane.size if weights is None else weights.sum())
     return float(-np.sum(p * np.log(p))) + 0.0
 
@@ -251,7 +261,7 @@ def gamma_median(ns: NsImage, gamma: float, s: int = 3) -> NsImage:
 
     A gamma that nothing reaches returns the input unchanged.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise OutOfRange(f"gamma must be >= 0, got {gamma}")
     _check_window(s, ns.shape, "median")
     mask = ns.i >= gamma
@@ -275,41 +285,43 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
                      w: int = 3, s: int = 3, max_iters: int = 10) -> DenoiseResult:
     """Iterative impulse-noise cleanup with the full entropy trace.
 
-    Each pass recomputes the planes from the current gray levels,
-    median-filters the pixels whose indeterminacy reaches gamma, and
-    stops when the I-plane entropy changes by less than ``delta``
-    relative to the previous pass (or after ``max_iters`` passes).  The
-    filtering runs on the gray levels themselves so that restored
-    pixels land back on true intensities rather than on re-scaled local
-    means.
+    Each pass median-filters the pixels whose indeterminacy reaches
+    gamma, rebuilds the I plane from the new gray levels, and stops when
+    the I-plane entropy changes by less than ``delta`` relative to the
+    previous pass (or after ``max_iters`` passes).  The filtering runs
+    on the 8-bit gray levels themselves so that restored pixels land
+    back on true intensities rather than on re-scaled local means: the
+    median of an odd window is one of its inputs.  All medians of a pass
+    are read before any pixel is written.
     """
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise OutOfRange(f"gamma must be >= 0, got {gamma}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise BadParams(f"delta must be >= 0, got {delta}")
     if max_iters < 1:
         raise BadParams(f"max_iters must be >= 1, got {max_iters}")
     _check_window(w, img.pixels.shape)
     _check_window(s, img.pixels.shape, "median")
 
-    g = img.pixels.astype(np.float64)
-    ns = _to_ns_array(g, w)
-    en_prev = ns_entropy(ns)[1]
+    u = img.pixels.copy()
+    _, i = _indeterminacy(u.astype(np.float64), w)
+    en_prev = _plane_entropy(i, 64)
     trace = [en_prev]
     done = 0
     for _ in range(max_iters):
-        mask = ns.i >= gamma
-        med = ndimage.median_filter(g, size=s, mode="nearest")
-        g = np.where(mask, med, g)
+        ys, xs = np.nonzero(i >= gamma)
+        if ys.size:
+            windows = sliding_window_view(np.pad(u, s // 2, mode="edge"), (s, s))
+            u[ys, xs] = np.partition(windows[ys, xs].reshape(ys.size, s * s),
+                                     s * s // 2, axis=1)[:, s * s // 2]
         done += 1
-        ns = _to_ns_array(g, w)
-        en = ns_entropy(ns)[1]
+        _, i = _indeterminacy(u.astype(np.float64), w)
+        en = _plane_entropy(i, 64)
         trace.append(en)
         if en_prev == 0.0 or abs(en - en_prev) / en_prev < delta:
             break
         en_prev = en
-    image = GrayImage(np.clip(np.rint(g), 0, 255).astype(np.uint8))
-    return DenoiseResult(image, done, tuple(trace))
+    return DenoiseResult(GrayImage(u), done, tuple(trace))
 
 
 def denoise(img: GrayImage, *, gamma: float, delta: float,
@@ -365,6 +377,8 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     resulting planes have the largest total entropy.  T depends on the
     gray level alone, so the planes are histogrammed over the 256 levels.
     """
+    if bins < 2:
+        raise BadParams(f"bins must be >= 2, got {bins}")
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     occupied = np.nonzero(hist)[0]
     if occupied.size < 2:

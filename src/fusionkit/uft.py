@@ -39,7 +39,7 @@ from .errors import (
     NoOtherHypotheses,
     SchemaError,
 )
-from .mass import Bba, discount, make_bba
+from .mass import Bba, _is_strings, discount, make_bba
 from .rules import _AND, _OR, _XOR, _grouping, _split, _union_escalate, product_terms
 
 
@@ -497,10 +497,6 @@ def uft_fuse_dynamic(initial: Bba, stream, *, model: EmptinessModel | None = Non
 
 
 # --- JSON loading ------------------------------------------------------------
-
-
-def _is_strings(node) -> bool:
-    return isinstance(node, list) and all(isinstance(x, str) for x in node)
 
 
 def fusion_inputs_from_json(doc: dict):

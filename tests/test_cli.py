@@ -351,6 +351,19 @@ class TestImageCommands:
         assert report["params"]["a"] == 30.0
         assert report["params"]["c"] == 220.0
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--delta"])
+    def test_denoise_nan_parameter(self, tmp_path, flag):
+        path, _ = self.make_noisy(tmp_path)
+        argv = {"--gamma": "0.4", "--delta": "0.01", flag: "nan"}
+        code, out, err = run([
+            "nimage", "denoise", "--gamma", argv["--gamma"],
+            "--delta", argv["--delta"], str(path), str(tmp_path / "out.pgm"),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.pgm").exists()
+
     def test_missing_input_file(self, tmp_path):
         code, _, err = run([
             "nimage", "denoise", "--gamma", "0.4", "--delta", "0.01",

@@ -157,6 +157,16 @@ class TestSerialization:
             from_json({"frame": ["A", "B"], "world": "flat", "masses": {"A": 1.0}})
         assert exc.value.pointer == "/world"
 
+    def test_masses_must_be_an_object(self):
+        with pytest.raises(SchemaError) as exc:
+            from_json({"frame": ["A", "B"], "masses": 3})
+        assert exc.value.pointer == "/masses"
+
+    def test_frame_must_be_a_list_of_labels(self):
+        with pytest.raises(SchemaError) as exc:
+            from_json({"frame": "AB", "masses": {"A": 1.0}})
+        assert exc.value.pointer == "/frame"
+
     def test_to_dict_uses_canonical_names(self, frame):
         b = make_bba(frame, {"B|A": 0.4, "A&B": 0.6})
         assert b.to_dict() == {

@@ -147,6 +147,18 @@ class TestTripleType:
         with pytest.raises(InputError):
             NsTriple.from_json({"t": 0.5, "i": [1, 2, 3], "f": 0.1})
 
+    def test_list_component_that_is_not_a_number(self):
+        with pytest.raises(InputError, match="bad component 't'"):
+            NsTriple.from_json(["x", 1, 2])
+
+    def test_list_component_that_is_null(self):
+        with pytest.raises(InputError, match="bad component 't'"):
+            NsTriple.from_json([None, 1, 2])
+
+    def test_interval_endpoint_that_is_not_a_number(self):
+        with pytest.raises(InputError, match="bad component 'i'"):
+            NsTriple.from_json({"t": 0.5, "i": ["x", 0.2], "f": 0.1})
+
 
 class TestOrder:
     def test_zero_below_one(self):

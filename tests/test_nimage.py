@@ -34,6 +34,7 @@ from fusionkit.errors import (
     OutOfRange,
     TruncatedData,
 )
+from fusionkit.nimage import _plane_entropy
 
 
 def checkerboard(size=8, lo=40, hi=200):
@@ -204,6 +205,8 @@ class TestGammaMedian:
         ns = to_ns(checkerboard())
         with pytest.raises(OutOfRange):
             gamma_median(ns, gamma=-0.1)
+        with pytest.raises(OutOfRange):
+            gamma_median(ns, gamma=math.nan)
         with pytest.raises(BadWindow):
             gamma_median(ns, gamma=0.5, s=4)
 
@@ -236,8 +239,12 @@ class TestDenoise:
     def test_validation(self):
         with pytest.raises(OutOfRange):
             denoise(self.noisy, gamma=-1.0, delta=0.01)
+        with pytest.raises(OutOfRange):
+            denoise(self.noisy, gamma=math.nan, delta=0.01)
         with pytest.raises(BadParams):
             denoise(self.noisy, gamma=0.4, delta=-0.01)
+        with pytest.raises(BadParams):
+            denoise(self.noisy, gamma=0.4, delta=math.nan)
         with pytest.raises(BadParams):
             denoise(self.noisy, gamma=0.4, delta=0.01, max_iters=0)
 
@@ -309,6 +316,11 @@ class TestFitAbc:
         with pytest.raises(DegenerateHistogram):
             fit_abc(GrayImage(px))
 
+    def test_bins_validated(self):
+        for bins in (0, 1):
+            with pytest.raises(BadParams, match=f"bins must be >= 2, got {bins}"):
+                fit_abc(flat_with_squares(), bins=bins)
+
 
 class TestSegment:
     PARAMS = SFunctionParams(30.0, 125.0, 220.0)
@@ -360,9 +372,9 @@ class TestSegment:
 
 # --- reference paths -----------------------------------------------------------
 #
-# The loops below are the first, direct transcriptions of region growth
-# and of the knot fit.  The library computes the same results another
-# way; these pin them exactly.
+# The loops below are the first, direct transcriptions of region growth,
+# of the knot fit and of the denoising loop.  The library computes the
+# same results another way; these pin them exactly.
 
 _STRUCT = np.ones((3, 3), dtype=bool)
 
@@ -400,9 +412,9 @@ def reference_segment(img, params, *, t_low, t_high, i_threshold, w=3):
     return labels, n_objects
 
 
-def reference_entropy(plane, bins):
-    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0))
-    p = counts[counts > 0] / plane.size
+def reference_entropy(plane, bins, weights=None):
+    counts, _ = np.histogram(plane, bins=bins, range=(0.0, 1.0), weights=weights)
+    p = counts[counts > 0] / (plane.size if weights is None else weights.sum())
     return float(-np.sum(p * np.log(p))) + 0.0
 
 
@@ -421,6 +433,29 @@ def reference_fit_abc(img, w=3, bins=64):
         if en > best_en:
             best_b, best_en = b, en
     return SFunctionParams(float(a), float(best_b), float(c))
+
+
+def reference_denoise(img, *, gamma, delta, w=3, s=3, max_iters=10):
+    """Every pass median-filters the whole image and rebuilds all three
+    planes, then keeps the medians where I reached gamma."""
+    g = img.pixels.astype(np.float64)
+    ns = to_ns(img, w)
+    en_prev = reference_entropy(ns.i, 64)
+    trace = [en_prev]
+    done = 0
+    for _ in range(max_iters):
+        mask = ns.i >= gamma
+        med = ndimage.median_filter(g, size=s, mode="nearest")
+        g = np.where(mask, med, g)
+        done += 1
+        ns = to_ns(GrayImage(g), w)
+        en = reference_entropy(ns.i, 64)
+        trace.append(en)
+        if en_prev == 0.0 or abs(en - en_prev) / en_prev < delta:
+            break
+        en_prev = en
+    image = GrayImage(np.clip(np.rint(g), 0, 255).astype(np.uint8))
+    return image, done, tuple(trace)
 
 
 def dot_grid(size=96):
@@ -450,6 +485,13 @@ def random_image(kind, seed, shape=(40, 56)):
 
 
 KINDS = ("noise", "blobs", "levels", "dots")
+DENOISE_SETTINGS = (
+    dict(gamma=0.4, delta=0.01),
+    dict(gamma=0.3, delta=0.01, w=5, s=5),
+    dict(gamma=0.0, delta=0.01),  # every pixel is filtered
+    dict(gamma=1.5, delta=0.01),  # no pixel is filtered
+    dict(gamma=0.4, delta=0.0, max_iters=6),  # runs every pass
+)
 SEGMENT_SETTINGS = (
     (SFunctionParams(10.0, 100.0, 200.0), 0.1, 0.9, 1.01),
     (SFunctionParams(30.0, 125.0, 220.0), 0.2, 0.8, 0.5),
@@ -500,3 +542,49 @@ class TestAgainstReferences:
     def test_fit_abc_on_the_dot_grid(self):
         img = dot_grid(48)
         assert fit_abc(img, w=5, bins=32) == reference_fit_abc(img, w=5, bins=32)
+
+    @staticmethod
+    def assert_denoise_matches(img, **kw):
+        res = denoise_detailed(img, **kw)
+        image, iterations, trace = reference_denoise(img, **kw)
+        assert res.image.pixels.tobytes() == image.pixels.tobytes()
+        assert res.iterations == iterations
+        assert res.entropy_trace == trace
+
+    @pytest.mark.parametrize("setting", range(len(DENOISE_SETTINGS)))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_denoise_is_identical(self, kind, seed, setting):
+        self.assert_denoise_matches(random_image(kind, seed),
+                                    **DENOISE_SETTINGS[setting])
+
+    def test_denoise_salt_and_pepper(self):
+        noisy, _ = salt_pepper(flat_with_squares())
+        for kw in DENOISE_SETTINGS:
+            self.assert_denoise_matches(noisy, **kw)
+
+    @pytest.mark.parametrize("gamma", (0.0, 0.5))
+    def test_denoise_constant_image(self, gamma):
+        img = GrayImage(np.full((9, 12), 77, dtype=np.uint8))
+        self.assert_denoise_matches(img, gamma=gamma, delta=0.01)
+        assert denoise_detailed(img, gamma=gamma, delta=0.01).iterations == 1
+
+    @pytest.mark.parametrize("bins", (2, 3, 7, 10, 64, 256))
+    def test_plane_entropy_bins_match_histogram(self, bins):
+        """Bin j of the base holds j + 1 values, so the entropy tells
+        which bin one more value lands in."""
+        edges = np.concatenate([np.arange(bins + 1) / bins,
+                                np.linspace(0.0, 1.0, bins + 1)])
+        probes = np.unique(np.concatenate([
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]))
+        probes = probes[(probes >= 0.0) & (probes <= 1.0)]
+        centers = (np.arange(bins) + 0.5) / bins
+        multiplicity = np.arange(1, bins + 1)
+        base = np.repeat(centers, multiplicity)
+        for x in probes:
+            plane = np.append(base, x)
+            assert _plane_entropy(plane, bins) == reference_entropy(plane, bins)
+            plane = np.append(centers, x)
+            weights = np.append(multiplicity, 1)
+            assert (_plane_entropy(plane, bins, weights)
+                    == reference_entropy(plane, bins, weights))
