@@ -224,6 +224,8 @@ def superpower_cardinality(n: int) -> int:
     union/intersection/complement (empty set included)."""
     if n < 2:
         raise TooFewHypotheses("need at least 2 hypotheses")
+    if n > MAX_HYPOTHESES:
+        raise TooManyHypotheses(f"at most {MAX_HYPOTHESES} hypotheses supported, got {n}")
     return 1 << ((1 << n) - 1)
 
 

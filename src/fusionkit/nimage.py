@@ -376,7 +376,9 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     every intensity strictly between them and keeps the one whose
     resulting planes have the largest total entropy.  T depends on the
     gray level alone, so the planes are histogrammed over the 256 levels.
+    The I plane does not depend on b, so its entropy is left out.
     """
+    _check_window(w, img.pixels.shape)
     if bins < 2:
         raise BadParams(f"bins must be >= 2, got {bins}")
     hist = np.bincount(img.pixels.ravel(), minlength=256)
@@ -386,14 +388,11 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     a, c = int(occupied[0]), int(occupied[-1])
     if c - a < 2:
         raise DegenerateHistogram("no intensity strictly between a and c")
-    _, i_plane = _indeterminacy(img.pixels.astype(np.float64), w)
-    en_i = _plane_entropy(i_plane, bins)
     levels = np.arange(256.0)
     best_b, best_en = None, -1.0
     for b in range(a + 1, c):
         t = s_function(levels, SFunctionParams(a, b, c))
         en = _plane_entropy(t, bins, hist) + _plane_entropy(1.0 - t, bins, hist)
-        en += en_i
         if en > best_en:
             best_b, best_en = b, en
     return SFunctionParams(float(a), float(best_b), float(c))

@@ -22,12 +22,13 @@ configuration of that pipeline:
   DSm hybrid      -- each entry onto the union of its operands,
                      escalated to total ignorance when that union is
                      itself empty;
-* PCR5            -- each entry split between its two operands in
+* PCR5            -- each entry split between its operands in
                      proportion to those operands' own masses.
 
 :mod:`fusionkit.tcn` configures the same engine for the T-norm rules
-and the master formula; :mod:`fusionkit.uft` uses its expansion and
-stars and routes each term itself.
+and the master formula; :mod:`fusionkit.uft` expands and stars terms
+here, routes each one itself, and takes its four pessimism brackets as
+the ignorance, empty, union and split disposals of one ledger.
 """
 
 from __future__ import annotations
@@ -208,10 +209,10 @@ def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
     return 0 if frame.world is World.OPEN else full
 
 
-def _source_masses(m1: Bba, m2: Bba):
-    """Weights of a pairwise ledger entry: its operands' own masses."""
-    first, second = dict(m1.entries), dict(m2.entries)
-    return lambda e: (first[e.operands[0]], second[e.operands[1]])
+def _source_masses(*sources: Bba):
+    """Weights of a ledger entry: its operands' own masses."""
+    masses = [dict(s.entries) for s in sources]
+    return lambda e: [m[b] for m, b in zip(masses, e.operands)]
 
 
 def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
@@ -219,10 +220,10 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     """Route the ledger's mass into the kept masses ``out`` (updated and
     returned): ``"discard"`` it; the ledger total onto total
     ``"ignorance"`` or the ``"empty"`` set; each entry onto the escalated
-    ``"union"`` of its operands; ``"split"`` it onto its two operands in
-    proportion to ``weights(entry)``; or give each operand its weight
-    times the ``"ratio"`` of value to ``conorm(w1, w2)``.  A zero split
-    or ratio denominator raises ``on_zero``, or falls back to the union.
+    ``"union"`` of its operands; ``"split"`` it onto its operands in
+    proportion to ``ws = weights(entry)``, one weight per operand; or give
+    each operand its weight times the ``"ratio"`` of value to ``conorm(*ws)``.
+    A zero split or ratio denominator raises ``on_zero``, or falls back to the union.
     ``rescale=(floor, error)`` then divides by the total, raising
     ``error`` when the total is at most ``floor``."""
     frame = ledger.frame
@@ -236,16 +237,16 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
             v, ops = e.product, e.operands
             den = 0.0
             if how != "union":
-                w1, w2 = weights(e)
-                den = w1 + w2 if how == "split" else conorm(w1, w2)
+                ws = weights(e)
+                den = sum(ws) if how == "split" else conorm(*ws)
                 if den == 0.0 and on_zero is not None:
                     raise on_zero
             if den == 0.0:
                 shares = ((_union_escalate(frame, _OR(ops), model), v),)
             elif how == "split":
-                shares = _split(v, ((ops[0], w1), (ops[1], w2)), den)
+                shares = _split(v, tuple(zip(ops, ws)), den)
             else:
-                shares = ((ops[0], w1 * (v / den)), (ops[1], w2 * (v / den)))
+                shares = [(b, w * (v / den)) for b, w in zip(ops, ws)]
             for b, x in shares:
                 out[b] = out.get(b, 0.0) + x
     if rescale is not None:

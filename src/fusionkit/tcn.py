@@ -15,6 +15,7 @@ routing policy (with per-side weights) for the marked mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
@@ -213,6 +214,8 @@ class UfrConfig:
             raise SchemaError("/", str(exc)) from None
         transferable = doc.get("transferable", "model_empty")
         if isinstance(transferable, list):
+            if not all(isinstance(e, str) for e in transferable):
+                raise SchemaError("/transferable", "transferable sets must be set expressions")
             transferable = tuple(transferable)
         return cls(
             star=star,
@@ -226,13 +229,18 @@ class UfrConfig:
 
 
 def _weight(spec: str, source_mass: float) -> float:
+    if not isinstance(spec, str):
+        raise InputError(f"weight spec must be a string, got {spec!r}")
     if spec == "source_mass":
         return source_mass
     if spec.startswith("constant:"):
         try:
-            return float(spec.split(":", 1)[1])
+            k = float(spec.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad weight constant in {spec!r}") from None
+        if not (math.isfinite(k) and k >= 0):
+            raise InputError(f"weight constant must be finite and >= 0 in {spec!r}")
+        return k
     raise InputError(f"unknown weight spec {spec!r}")
 
 
@@ -260,6 +268,8 @@ def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
     model = model or EmptinessModel.free(frame)
 
     if isinstance(config.transferable, tuple):
+        if not all(isinstance(e, str) for e in config.transferable):
+            raise InputError("transferable sets must be set expressions")
         listed = frozenset(frame.atoms_of(e).bits for e in config.transferable)
         marked = listed.__contains__
     elif config.transferable == "model_empty":

@@ -19,16 +19,16 @@ source 2, ...) and result R:
   back to the pessimistic union of the operands when it is.
 
 The pessimism brackets ignore annotations and the model: every genuine
-intersection term (result below all of its operands) is treated as
-conflict and sent to total ignorance (closed-world floor), the empty
-set (open-world floor), the union of its operands (middle), or split
-back onto the operands proportionally to their masses (upper).
+intersection term (result below all of its operands) goes to one
+conflict ledger, disposed of onto total ignorance (closed-world floor),
+the empty set (open-world floor), the union of its operands (middle),
+or split back onto the operands proportionally to their masses (upper).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .algebra import AtomSet, EmptinessModel, Frame, World
@@ -40,7 +40,8 @@ from .errors import (
     SchemaError,
 )
 from .mass import Bba, _is_strings, discount, make_bba
-from .rules import _AND, _OR, _XOR, _grouping, _split, _union_escalate, product_terms
+from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _dispose, _grouping,
+                    _source_masses, _split, _union_escalate, product_terms)
 
 
 class Relationship(Enum):
@@ -264,18 +265,15 @@ _STEP_STARS = {
 }
 
 
-def _step_terms(scenario: UftScenario):
-    """Expand the reliability-selected combination into product terms."""
+def _step(scenario: UftScenario):
+    """Sources and star of the reliability-selected combination."""
     rel = scenario.reliability
     sources = scenario.sources
     if rel.kind is ReliabilityKind.DISCOUNTS:
         sources = tuple(discount(s, a) for s, a in zip(sources, rel.alphas))
     if rel.kind is ReliabilityKind.MIXED_GROUPING:
-        star = _grouping(rel.grouping, len(sources))
-    else:
-        star = _STEP_STARS.get(rel.kind, _AND)
-    for ops, p in product_terms(sources):
-        yield sources, ops, star(ops), p
+        return sources, _grouping(rel.grouping, len(sources))
+    return sources, _STEP_STARS.get(rel.kind, _AND)
 
 
 # --- redistribution ----------------------------------------------------------
@@ -373,19 +371,21 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
 def uft_fuse(scenario: UftScenario) -> UftResult:
     frame = scenario.frame
     model = scenario.model or EmptinessModel.free(frame)
-    ann_by_subject = {a.subject_bits: a for a in scenario.annotations}
+    sources, star = _step(scenario)
+    plain = RedistContext(frame, model, sources, None, scenario.options)
+    contexts = {a.subject_bits: replace(plain, annotation=a)
+                for a in scenario.annotations}
 
     fused: dict = {}
     audit = []
     deferred: dict = {}
-    lower_closed: dict = {}
-    lower_open: dict = {}
-    middle: dict = {}
-    upper: dict = {}
+    kept: dict = {}
+    conflict = []
 
-    for sources, ops, result, p in _step_terms(scenario):
-        ann = ann_by_subject.get(result)
-        ctx = RedistContext(frame, model, sources, ann, scenario.options)
+    for ops, p in product_terms(sources):
+        result = star(ops)
+        ctx = contexts.get(result, plain)
+        ann = ctx.annotation
         if ann is not None:
             rel = ann.rel
         elif model.is_empty(AtomSet(frame, result)):
@@ -404,43 +404,36 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
         audit.append(TransferRecord(ops, result, p, rel, tuple(targets)))
 
         # pessimism brackets: free-algebra view, annotations ignored
-        and_bits, or_bits = _AND(ops), _OR(ops)
-        if result == and_bits and result not in ops:
-            full = frame.universe_bits
-            lower_closed[full] = lower_closed.get(full, 0.0) + p
-            lower_open[0] = lower_open.get(0, 0.0) + p
-            middle[or_bits] = middle.get(or_bits, 0.0) + p
-            for b, v in _proportional_split(
-                ops, p, RedistContext(frame, EmptinessModel.free(frame), sources)
-            ):
-                upper[b] = upper.get(b, 0.0) + v
+        if result == _AND(ops) and result not in ops:
+            conflict.append(LedgerEntry(ops, result, p))
         else:
-            for acc in (lower_closed, lower_open, middle, upper):
-                acc[result] = acc.get(result, 0.0) + p
+            kept[result] = kept.get(result, 0.0) + p
 
     reduced: dict = {}
     for b, v in fused.items():
         rb = b & ~model.forced_empty_bits
         reduced[rb] = reduced.get(rb, 0.0) + v
 
-    m_lower_closed = Bba._from_masses(frame, lower_closed)
-    m_upper = Bba._from_masses(frame, upper)
+    ledger = ConflictLedger(frame, tuple(conflict))
+    free = EmptinessModel.free(frame)
+    lower_closed = _dispose(dict(kept), ledger, "ignorance")
+    upper = _dispose(dict(kept), ledger, "split", free,
+                     weights=_source_masses(*sources))
     if scenario.options.middle_from_average:
-        avg: dict = {}
-        for b, v in lower_closed.items():
-            avg[b] = avg.get(b, 0.0) + v / 2
-        for b, v in upper.items():
-            avg[b] = avg.get(b, 0.0) + v / 2
-        m_middle = Bba._from_masses(frame, avg)
+        middle: dict = {}
+        for acc in (lower_closed, upper):
+            for b, v in acc.items():
+                middle[b] = middle.get(b, 0.0) + v / 2
     else:
-        m_middle = Bba._from_masses(frame, middle)
+        # Never escalated: a genuine intersection's operands are not all empty.
+        middle = _dispose(dict(kept), ledger, "union", free)
 
     return UftResult(
         m_uft=Bba._from_masses(frame, reduced),
-        m_lower_closed=m_lower_closed,
-        m_lower_open=Bba._from_masses(frame, lower_open),
-        m_middle=m_middle,
-        m_upper=m_upper,
+        m_lower_closed=Bba._from_masses(frame, lower_closed),
+        m_lower_open=Bba._from_masses(frame, _dispose(kept, ledger, "empty")),
+        m_middle=Bba._from_masses(frame, middle),
+        m_upper=Bba._from_masses(frame, upper),
         audit=tuple(audit),
         deferred=tuple(sorted(deferred.items())),
         model=model,

@@ -101,6 +101,11 @@ class TestCardinality:
         with pytest.raises(TooFewHypotheses):
             superpower_cardinality(1)
 
+    @pytest.mark.parametrize("n", [7, 14])
+    def test_cardinality_beyond_the_frame_limit(self, n):
+        with pytest.raises(TooManyHypotheses, match=f"got {n}$"):
+            superpower_cardinality(n)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DuplicateLabel):
             build_frame(("A", "A"))

@@ -1,13 +1,17 @@
 """End-to-end command-line checks against the JSON fixtures."""
 
 import contextlib
+import copy
 import io
 import json
 import math
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit import GrayImage, load_pgm, save_pgm
 from fusionkit.cli import main
@@ -35,6 +39,12 @@ class TestAlgebraCommands:
         code, _, err = run(["algebra", "card", "1"])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("n", ["7", "14"])
+    def test_cardinality_beyond_the_frame_limit(self, n):
+        code, out, err = run(["algebra", "card", n])
+        assert (code, out) == (1, "")
+        assert err == f"error: at most 6 hypotheses supported, got {n}\n"
 
     def test_canonical_name(self):
         code, out, _ = run(["algebra", "canon", "--frame", "A,B",
@@ -249,6 +259,32 @@ class TestUfrCommand:
                             fixture("two_source_disjoint.json")])
         assert out == direct
 
+    @staticmethod
+    def with_ufr(tmp_path, ufr):
+        return scenario_file(tmp_path, lambda d: d.update(ufr=ufr))
+
+    @pytest.mark.parametrize("ufr, message", [
+        ({"weight_1": 3}, "weight spec must be a string"),
+        ({"weight_2": "constant:nan"}, "must be finite and >= 0"),
+        ({"weight_1": "constant:inf"}, "must be finite and >= 0"),
+        ({"weight_1": "constant:-1"}, "must be finite and >= 0"),
+        ({"transferable": [5]}, "/transferable: "),
+        ({"transferable": [None]}, "/transferable: "),
+        ({"transferable": [["A", "B"]]}, "/transferable: "),
+    ])
+    def test_bad_config_is_rejected(self, ufr, message, tmp_path):
+        code, out, err = run(["ufr", self.with_ufr(tmp_path, ufr)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_huge_constant_weights_still_run(self, tmp_path):
+        ufr = {"weight_1": "constant:1e308", "weight_2": "constant:1e308"}
+        code, out, err = run(["ufr", self.with_ufr(tmp_path, ufr)])
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+
 
 class TestNeutroCommand:
     def test_conjunction(self):
@@ -399,3 +435,95 @@ class TestExitCodes:
         code, _, err = run([])
         assert code == 1
         assert "usage error" in err
+
+
+# --- fuzzing the scenario boundary ---------------------------------------------
+
+FUZZ_BASE = {
+    "frame": ["A", "B", "C", "D"],
+    "world": "closed",
+    "model": ["A&B"],
+    "sources": [
+        {"A": 0.2, "B": 0.5, "A|B": 0.3},
+        {"A": 0.4, "B|C": 0.4, "A|B|C": 0.2},
+    ],
+    "reliability": {"kind": "mixed_grouping", "tree": ["and", 1, 2],
+                    "alphas": [0.9, 0.8]},
+    "annotations": [
+        {"pair": ["A", "B"], "rel": "right_is", "side": "A"},
+        {"pair": ["A|B", "B|C"], "rel": "neither_right"},
+    ],
+    "grouping": ["or", 1, 2],
+    "ufr": {"star": "conjunctive", "combiner": "product",
+            "transferable": ["A&B"], "transfer": "pair_proportional",
+            "weight_1": "source_mass", "weight_2": "constant:2",
+            "normalize": True},
+    "options": {"neither_right_proportional": True,
+                "middle_from_average": False},
+}
+
+#: Every field a mutation may replace, by its path in FUZZ_BASE.
+FUZZ_PATHS = [
+    ("frame",), ("frame", 2), ("world",), ("model",), ("model", 0),
+    ("sources",), ("sources", 0), ("sources", 1, "B|C"),
+    ("reliability",), ("reliability", "kind"), ("reliability", "tree"),
+    ("reliability", "tree", 1), ("reliability", "alphas"),
+    ("annotations",), ("annotations", 0), ("annotations", 0, "pair"),
+    ("annotations", 0, "rel"), ("annotations", 0, "side"),
+    ("annotations", 1, "pair", 0), ("grouping",), ("grouping", 2),
+    ("ufr",), *(("ufr", key) for key in FUZZ_BASE["ufr"]),
+    ("options",), ("options", "neither_right_proportional"),
+    ("options", "middle_from_average"),
+]
+
+#: Strings the loaders give meaning to, next to arbitrary ones.
+FUZZ_WORDS = ["A", "B|C", "A&B", "~A", "empty", "Z", "", "and", "or",
+              "open", "discounts", "mixed_grouping", "right_is", "min",
+              "disjunctive", "ignorance", "never", "model_empty",
+              "source_mass", "constant:0", "constant:-1", "constant:1e308",
+              "constant:inf", "constant:x"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(FUZZ_WORDS) | st.text("ABC&|~()_: x01", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FUZZ_WORDS), inner, max_size=3),
+    max_leaves=8,
+)
+
+FUZZ_COMMANDS = [
+    *(["fuse", "--rule", rule] for rule in
+      ("conjunctive", "mixed", "dempster", "pcr5")),
+    ["uft"], ["ufr"],
+    *(["tcn", "--variant", v] for v in ("pcr5_original", "pcr5v2")),
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """FUZZ_BASE with one or two fields replaced by arbitrary JSON."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    paths = draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1,
+                          max_size=2, unique=True))
+    # Longest first, so that a shorter path replaces a parent last.
+    for path in sorted(paths, key=len, reverse=True):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(json_values)
+    return doc
+
+
+class TestScenarioFuzz:
+    @given(mutated_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_every_document_is_processed_or_rejected(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(pathlib.Path(tmp) / "scenario.json")
+            pathlib.Path(path).write_text(json.dumps(doc))
+            for command in FUZZ_COMMANDS:
+                for fmt in ("text", "json", "csv"):
+                    code, out, err = run(command + ["--format", fmt, path])
+                    assert code in (0, 1, 2), (command, fmt, err)
+                    assert "nan" not in out.lower(), (command, fmt, out)
+                    assert "Traceback" not in err

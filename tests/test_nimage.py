@@ -321,6 +321,12 @@ class TestFitAbc:
             with pytest.raises(BadParams, match=f"bins must be >= 2, got {bins}"):
                 fit_abc(flat_with_squares(), bins=bins)
 
+    @pytest.mark.parametrize("w", [0, 1, 4, 9])
+    def test_window_validated(self, w):
+        img = GrayImage(np.arange(0, 256, 4, dtype=np.uint8).reshape(8, 8))
+        with pytest.raises(BadWindow):
+            fit_abc(img, w=w)
+
 
 class TestSegment:
     PARAMS = SFunctionParams(30.0, 125.0, 220.0)

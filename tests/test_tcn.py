@@ -346,6 +346,32 @@ class TestMasterFormula:
         with pytest.raises(InputError):
             ufr_combine(m1, m2, config, model=model)
 
+    @pytest.mark.parametrize("spec, message", [
+        (3, "weight spec must be a string"),
+        (None, "weight spec must be a string"),
+        ("constant:nan", "must be finite and >= 0"),
+        ("constant:inf", "must be finite and >= 0"),
+        ("constant:-1", "must be finite and >= 0"),
+    ])
+    def test_bad_weight_spec(self, spec, message):
+        frame, m1, m2, model = overlap_sources()
+        for config in (UfrConfig(weight_1=spec), UfrConfig(weight_2=spec)):
+            with pytest.raises(InputError, match=message):
+                ufr_combine(m1, m2, config, model=model)
+
+    def test_huge_constant_weights_still_combine(self):
+        frame, m1, m2, model = overlap_sources()
+        config = UfrConfig(weight_1="constant:1e308", weight_2="constant:1e308")
+        out = ufr_combine(m1, m2, config, model=model)
+        assert out.total() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("member", [5, None, ["A", "B"]])
+    def test_non_string_transferable_member(self, member):
+        frame, m1, m2, model = overlap_sources()
+        config = UfrConfig(transferable=("A&B", member))
+        with pytest.raises(InputError, match="set expressions"):
+            ufr_combine(m1, m2, config, model=model)
+
 
 class TestUfrConfigJson:
     def test_defaults(self):
@@ -376,3 +402,8 @@ class TestUfrConfigJson:
     def test_non_object_rejected(self):
         with pytest.raises(SchemaError):
             UfrConfig.from_json(["star"])
+
+    @pytest.mark.parametrize("member", [5, None, ["A", "B"]])
+    def test_non_string_transferable_rejected(self, member):
+        with pytest.raises(SchemaError, match="^/transferable: "):
+            UfrConfig.from_json({"transferable": [member]})
