@@ -44,7 +44,6 @@ from .rules import (
     combine,
     conjunctive,
     disjunctive,
-    dsmh_transfer,
     exclusive_disjunctive,
     fuse_many,
     mixed,
@@ -149,8 +148,8 @@ __all__ = [
     "from_json", "make_bba", "normalize", "vacuous",
     # rules
     "ConflictLedger", "LedgerEntry", "RuleId", "combine", "conjunctive",
-    "disjunctive", "dsmh_transfer", "exclusive_disjunctive", "fuse_many",
-    "mixed", "murphy_average", "pcr5", "product_terms",
+    "disjunctive", "exclusive_disjunctive", "fuse_many", "mixed",
+    "murphy_average", "pcr5", "product_terms",
     # uft
     "Annotation", "RedistContext", "Relationship", "Reliability",
     "ReliabilityKind", "TransferRecord", "UftOptions", "UftResult",

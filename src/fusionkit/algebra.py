@@ -29,6 +29,7 @@ from .errors import (
     DuplicateLabel,
     ExprSyntaxError,
     FrameMismatch,
+    InputError,
     TooFewHypotheses,
     TooManyHypotheses,
     UnknownLabel,
@@ -147,7 +148,7 @@ class AtomSet:
 
     def __post_init__(self):
         if not 0 <= self.bits <= self.frame.universe_bits:
-            raise ValueError(f"bits {self.bits:#x} outside the frame universe")
+            raise InputError(f"bits {self.bits:#x} outside the frame universe")
 
     @property
     def is_empty_set(self) -> bool:
@@ -208,10 +209,10 @@ def set_op(kind: SetOpKind | str, a: AtomSet, b: AtomSet | None = None) -> AtomS
         kind = SetOpKind(kind)
     if kind is SetOpKind.COMPLEMENT:
         if b is not None:
-            raise ValueError("complement is unary")
+            raise InputError("complement is unary")
         return ~a
     if b is None:
-        raise ValueError(f"{kind.value} needs two operands")
+        raise InputError(f"{kind.value} needs two operands")
     if kind is SetOpKind.UNION:
         return a | b
     if kind is SetOpKind.INTERSECTION:
@@ -245,7 +246,7 @@ class EmptinessModel:
 
     def __post_init__(self):
         if not 0 <= self.forced_empty_bits <= self.frame.universe_bits:
-            raise ValueError("forced-empty bits outside the frame universe")
+            raise InputError("forced-empty bits outside the frame universe")
 
     @classmethod
     def free(cls, frame: Frame) -> "EmptinessModel":
@@ -396,72 +397,69 @@ def atoms_of(expr: str | AtomSet, frame: Frame) -> AtomSet:
 # --- canonical display names ------------------------------------------------
 
 
+def _shapes(n: int):
+    """Candidate names over n labels as ``(head, joiner, literals)``, in the
+    order that decides which name wins.  A literal is ``(label index,
+    negated)``; a head is ``None`` or a literal joined by the other operator."""
+    for r in range(1, n + 1):
+        # fewest complements first, so classes modulo a model keep
+        # their positive representative where one exists
+        flat = [tuple(zip(idxs, pols))
+                for pols in sorted(product((False, True), repeat=r), key=sum)
+                for idxs in combinations(range(n), r)]
+        for joiner in ("|", "&") if r >= 2 else ("|",):
+            for lits in flat:
+                yield None, joiner, lits
+    # one literal combined with a union / intersection of others
+    for head in product(range(n), (False, True)):
+        for r in range(2, n):
+            for idxs in combinations([j for j in range(n) if j != head[0]], r):
+                for pols in product((False, True), repeat=r):
+                    lits = tuple(zip(idxs, pols))
+                    yield head, "|", lits
+                    yield head, "&", lits
+
+
 @lru_cache(maxsize=None)
 def _format_bits(labels: tuple[str, ...], bits: int, forced: int = 0) -> str:
     """Deterministic, re-parseable display name for a canonical set.
 
-    Tries short forms first: unions of (possibly complemented)
-    hypotheses, then intersections, then two-level mixes; falls back to
-    the disjunction of explicit Venn atoms.
+    Tries the short forms of :func:`_shapes` in order: unions of
+    (possibly complemented) hypotheses, then intersections, then
+    two-level mixes; falls back to the disjunction of explicit Venn atoms.
 
     With a nonzero ``forced`` mask of model-empty atoms, ``bits`` is a
     reduced equivalence-class mask and the returned name is the first
     candidate whose reduction equals it, so classes keep the readable
     representative (A rather than A-minus-forced-atoms).
     """
+    n = len(labels)
+    universe = (1 << ((1 << n) - 1)) - 1
+    if not 0 <= bits <= universe:
+        raise InputError(f"bits {bits:#x} outside the frame universe")
     if bits == 0:
         return EMPTY_NAME
-    n = len(labels)
-    masks = _label_masks(n)
-    universe = (1 << ((1 << n) - 1)) - 1
     live = universe & ~forced
     if forced and bits == live:
         return _format_bits(labels, universe)
 
-    def literal(i: int, neg: bool) -> tuple[str, int]:
-        if neg:
-            return f"~{labels[i]}", universe & ~masks[i]
-        return labels[i], masks[i]
-
-    def candidates(r: int):
-        # fewest complements first, so classes modulo a model keep
-        # their positive representative where one exists
-        for pols in sorted(product((False, True), repeat=r), key=sum):
-            for idxs in combinations(range(n), r):
-                yield [literal(i, neg) for i, neg in zip(idxs, pols)]
-
-    for r in range(1, n + 1):
-        for lits in candidates(r):
+    lit = [(m, universe & ~m) for m in _label_masks(n)]
+    names = [(lab, f"~{lab}") for lab in labels]
+    for head, joiner, lits in _shapes(n):
+        if joiner == "|":
             m = 0
-            for _, lm in lits:
-                m |= lm
-            if m & live == bits:
-                return "|".join(s for s, _ in lits)
-        if r >= 2:
-            for lits in candidates(r):
-                m = universe
-                for _, lm in lits:
-                    m &= lm
-                if m & live == bits:
-                    return "&".join(s for s, _ in lits)
-
-    # one literal combined with a union / intersection of others
-    for i in range(n):
-        for neg in (False, True):
-            ls, lm = literal(i, neg)
-            for r in range(2, n):
-                for idxs in combinations([j for j in range(n) if j != i], r):
-                    for pols in product((False, True), repeat=r):
-                        group = [literal(j, gneg) for j, gneg in zip(idxs, pols)]
-                        um, im = 0, universe
-                        for _, gm in group:
-                            um |= gm
-                            im &= gm
-                        names = [s for s, _ in group]
-                        if lm & um & live == bits:
-                            return f"{ls}&({'|'.join(names)})"
-                        if (lm | im) & live == bits:
-                            return f"{ls}|({'&'.join(names)})"
+            for i, neg in lits:
+                m |= lit[i][neg]
+        else:
+            m = universe
+            for i, neg in lits:
+                m &= lit[i][neg]
+        if head is not None:
+            m = m & lit[head[0]][head[1]] if joiner == "|" else m | lit[head[0]][head[1]]
+        if m & live == bits:
+            inner = joiner.join(names[i][neg] for i, neg in lits)
+            op = "&" if joiner == "|" else "|"
+            return inner if head is None else f"{names[head[0]][head[1]]}{op}({inner})"
 
     # fall back to explicit atoms
     parts = []

@@ -239,6 +239,11 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
             if how != "union":
                 ws = weights(e)
                 den = sum(ws) if how == "split" else conorm(*ws)
+                if how == "split" and not math.isfinite(den):
+                    # the sum overflowed: split by the weights' ratios instead
+                    top = max(ws)
+                    ws = [w / top for w in ws]
+                    den = sum(ws)
                 if den == 0.0 and on_zero is not None:
                     raise on_zero
             if den == 0.0:
@@ -316,10 +321,6 @@ def murphy_average(*sources) -> Bba:
         for bits, v in s.crisp_items():
             out[bits] = out.get(bits, 0.0) + v / k
     return Bba._from_masses(frame, out)
-
-
-def dsmh_transfer(out: dict, ledger: ConflictLedger, model: EmptinessModel) -> None:
-    _dispose(out, ledger, "union", model)
 
 
 def pcr5(m1: Bba, m2: Bba, model: EmptinessModel | None = None) -> Bba:

@@ -228,11 +228,12 @@ class UfrConfig:
         )
 
 
-def _weight(spec: str, source_mass: float) -> float:
+def _weight(spec: str) -> float | None:
+    """The constant of a weight spec, or None for the operand's source mass."""
     if not isinstance(spec, str):
         raise InputError(f"weight spec must be a string, got {spec!r}")
     if spec == "source_mass":
-        return source_mass
+        return None
     if spec.startswith("constant:"):
         try:
             k = float(spec.split(":", 1)[1])
@@ -279,13 +280,14 @@ def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
     else:
         raise InputError(f"unknown transferable spec {config.transferable!r}")
 
+    k1, k2 = _weight(config.weight_1), _weight(config.weight_2)
     star = _AND if config.star is StarOp.CONJUNCTIVE else _OR
     kept, ledger = _pool((m1, m2), star, marked, _valuation(config.combiner))
     source = _source_masses(m1, m2)
 
     def weights(entry):
         w1, w2 = source(entry)
-        return _weight(config.weight_1, w1), _weight(config.weight_2, w2)
+        return w1 if k1 is None else k1, w2 if k2 is None else k2
 
     out = _dispose(
         kept, ledger, _TRANSFERS[config.transfer], model, weights=weights,

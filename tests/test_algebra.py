@@ -4,9 +4,12 @@ The parser and canonical encoding are checked against an independent
 truth-table oracle: an atom is a nonempty subset of labels, a label
 holds on an atom exactly when it belongs to that subset, and an
 expression denotes the set of atoms on which it evaluates true.
+Canonical names are checked against ``reference_format_bits``, a
+nested search that fixes which candidate name wins.
 """
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from fusionkit import (
 from fusionkit.errors import (
     DuplicateLabel,
     ExprSyntaxError,
+    InputError,
     TooFewHypotheses,
     TooManyHypotheses,
     UnknownLabel,
@@ -81,6 +85,104 @@ def trees(labels):
         ),
         max_leaves=8,
     )
+
+
+def reference_format_bits(labels, bits, forced=0):
+    """Canonical name by a three-stage nested search: unions and
+    intersections of r literals for r = 1..n, then one literal joined to
+    a group of others, then explicit atoms.  The library's candidate
+    order must reproduce it name for name."""
+    if bits == 0:
+        return "empty"
+    n = len(labels)
+    masks = [0] * n
+    for s in range(1, 1 << n):
+        for i in range(n):
+            if s >> i & 1:
+                masks[i] |= 1 << (s - 1)
+    universe = (1 << ((1 << n) - 1)) - 1
+    live = universe & ~forced
+    if forced and bits == live:
+        return reference_format_bits(labels, universe)
+
+    def literal(i, neg):
+        if neg:
+            return f"~{labels[i]}", universe & ~masks[i]
+        return labels[i], masks[i]
+
+    def candidates(r):
+        # fewest complements first, so classes modulo a model keep
+        # their positive representative where one exists
+        for pols in sorted(product((False, True), repeat=r), key=sum):
+            for idxs in combinations(range(n), r):
+                yield [literal(i, neg) for i, neg in zip(idxs, pols)]
+
+    for r in range(1, n + 1):
+        for lits in candidates(r):
+            m = 0
+            for _, lm in lits:
+                m |= lm
+            if m & live == bits:
+                return "|".join(s for s, _ in lits)
+        if r >= 2:
+            for lits in candidates(r):
+                m = universe
+                for _, lm in lits:
+                    m &= lm
+                if m & live == bits:
+                    return "&".join(s for s, _ in lits)
+
+    # one literal combined with a union / intersection of others
+    for i in range(n):
+        for neg in (False, True):
+            ls, lm = literal(i, neg)
+            for r in range(2, n):
+                for idxs in combinations([j for j in range(n) if j != i], r):
+                    for pols in product((False, True), repeat=r):
+                        group = [literal(j, gneg) for j, gneg in zip(idxs, pols)]
+                        um, im = 0, universe
+                        for _, gm in group:
+                            um |= gm
+                            im &= gm
+                        names = [s for s, _ in group]
+                        if lm & um & live == bits:
+                            return f"{ls}&({'|'.join(names)})"
+                        if (lm | im) & live == bits:
+                            return f"{ls}|({'&'.join(names)})"
+
+    # fall back to explicit atoms
+    parts = []
+    for p in range((1 << n) - 1):
+        if bits >> p & 1:
+            s = p + 1
+            conj = "&".join(
+                lab if s >> i & 1 else f"~{lab}" for i, lab in enumerate(labels)
+            )
+            parts.append(f"({conj})")
+    return "|".join(parts)
+
+
+def assert_names_match_reference(frame, bits, forced=0):
+    model = EmptinessModel(frame, forced)
+    assert frame.name_of(bits) == reference_format_bits(frame.labels, bits)
+    assert model.name_of(bits) == reference_format_bits(
+        frame.labels, bits & ~forced, forced
+    )
+
+
+def label_built_bits(frame, rng):
+    """A left-fold of random & and | over distinct, possibly
+    complemented, labels: the shapes short names are made of."""
+    bits = None
+    for lab in rng.sample(frame.labels, rng.randint(1, frame.n)):
+        m = frame.label_bits(lab)
+        if rng.random() < 0.5:
+            m = frame.universe_bits & ~m
+        if bits is None:
+            bits = m
+        else:
+            bits = bits | m if rng.random() < 0.5 else bits & m
+    return bits
 
 
 class TestCardinality:
@@ -189,6 +291,17 @@ class TestBooleanLaws:
             for b in sets:
                 assert a - b == a & ~b
 
+    def test_atom_set_outside_the_universe_is_an_input_error(self):
+        with pytest.raises(InputError, match="outside the frame universe"):
+            AtomSet(Frame(("A", "B")), 8)
+
+    def test_set_op_arity_is_an_input_error(self):
+        a = Frame(LABELS3).atoms_of("A")
+        with pytest.raises(InputError, match="union needs two operands"):
+            set_op("union", a)
+        with pytest.raises(InputError, match="complement is unary"):
+            set_op("complement", a, a)
+
     def test_set_op_dispatch(self):
         frame = Frame(LABELS3)
         a, b = frame.atoms_of("A"), frame.atoms_of("B|C")
@@ -214,6 +327,14 @@ class TestNaming:
         assert frame.atoms_of("A&B").name == "A&B"
         assert frame.atoms_of("A|B").name == "A|B"
 
+    @pytest.mark.parametrize("bits", [8, 9, -1])
+    def test_names_reject_bits_outside_the_universe(self, bits):
+        frame = Frame(("A", "B"))
+        model = EmptinessModel.from_exprs(frame, ("A&B",))
+        for name_of in (frame.name_of, model.name_of):
+            with pytest.raises(InputError, match="outside the frame universe"):
+                name_of(bits)
+
     def test_single_atom_names(self):
         frame = Frame(("A", "B"))
         only_a = AtomSet(frame, 0b001)
@@ -224,6 +345,40 @@ class TestNaming:
         assert both.name == "A&B"
 
 
+class TestNamingAgainstReference:
+    @pytest.mark.parametrize("labels", [("A", "B"), LABELS3])
+    def test_every_element_under_three_models(self, labels):
+        frame = Frame(labels)
+        models = (
+            EmptinessModel.free(frame),
+            EmptinessModel.exclusive(frame),
+            EmptinessModel.from_exprs(frame, ("A&B",)),
+        )
+        for model in models:
+            for bits in range(1 << frame.atom_count):
+                assert_names_match_reference(frame, bits, model.forced_empty_bits)
+
+    @pytest.mark.parametrize("n, count", [(4, 60), (5, 20), (6, 8)])
+    def test_random_masks_with_and_without_forced_atoms(self, n, count):
+        frame = Frame(tuple("ABCDEF"[:n]))
+        rng = random.Random(n)
+        for _ in range(count):
+            bits = rng.randrange(1 << frame.atom_count)
+            forced = rng.randrange(1 << frame.atom_count)
+            assert_names_match_reference(frame, bits)
+            assert_names_match_reference(frame, bits, forced)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_label_built_masks(self, n):
+        frame = Frame(tuple("ABCDEF"[:n]))
+        rng = random.Random(100 + n)
+        for _ in range(30):
+            bits = label_built_bits(frame, rng)
+            pair = rng.sample(frame.labels, 2)
+            forced = rng.choice((0, frame.atoms_of("&".join(pair)).bits))
+            assert_names_match_reference(frame, bits, forced)
+
+
 class TestEmptinessModel:
     def test_free_model(self):
         frame = Frame(LABELS3)
@@ -231,6 +386,10 @@ class TestEmptinessModel:
         assert model.is_free
         assert model.forced_empty_bits == 0
         assert not model.is_empty(frame.atoms_of("A&B"))
+
+    def test_forced_bits_outside_the_universe_are_an_input_error(self):
+        with pytest.raises(InputError, match="forced-empty bits outside"):
+            EmptinessModel(Frame(("A", "B")), 99)
 
     def test_forced_intersections(self):
         frame = Frame(LABELS3)

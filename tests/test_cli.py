@@ -284,6 +284,22 @@ class TestUfrCommand:
         code, out, err = run(["ufr", self.with_ufr(tmp_path, ufr)])
         assert (code, err) == (0, "")
         assert "nan" not in out
+        equal = {"weight_1": "constant:2", "weight_2": "constant:2"}
+        assert out == run(["ufr", self.with_ufr(tmp_path, equal)])[1]
+
+    @pytest.mark.parametrize("fixture_name, ufr", [
+        ("two_source_free.json", {"weight_1": 3, "weight_2": "constant:nan"}),
+        ("uft_right_is.json", {"transfer": "discard", "weight_2": 3}),
+    ])
+    def test_bad_weights_are_rejected_when_nothing_is_split(
+            self, fixture_name, ufr, tmp_path):
+        doc = json.loads((DATA / fixture_name).read_text())
+        doc["ufr"] = ufr
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["ufr", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: weight spec must be a string, got 3\n"
 
 
 class TestNeutroCommand:
