@@ -206,7 +206,14 @@ class SetOpKind(Enum):
 def set_op(kind: SetOpKind | str, a: AtomSet, b: AtomSet | None = None) -> AtomSet:
     """Functional dispatch over the four set operations."""
     if isinstance(kind, str):
-        kind = SetOpKind(kind)
+        try:
+            kind = SetOpKind(kind)
+        except ValueError:
+            raise InputError(f"unknown set operation {kind!r}") from None
+    if not isinstance(kind, SetOpKind):
+        raise InputError(f"unknown set operation {kind!r}")
+    if not isinstance(a, AtomSet) or not isinstance(b, (AtomSet, type(None))):
+        raise InputError("set operands must be AtomSets")
     if kind is SetOpKind.COMPLEMENT:
         if b is not None:
             raise InputError("complement is unary")

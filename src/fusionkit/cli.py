@@ -21,6 +21,7 @@ computation that cannot proceed (total conflict, zero totals).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,6 +53,7 @@ from .tcn import (
     ufr_combine,
 )
 from .uft import (
+    _NameMemo,
     _tree_from_json,
     fusion_inputs_from_json,
     scenario_from_json,
@@ -165,7 +167,7 @@ def _cmd_uft(args) -> int:
     doc = _load_json(args.scenario)
     result = uft_fuse(scenario_from_json(doc))
     if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2))
+        print(result.write_json())
         return 0
     fused_names = result.model.name_of if result.model else None
     if args.format == "csv":
@@ -180,15 +182,14 @@ def _cmd_uft(args) -> int:
     ):
         print(f"{label}:")
         print(emit_table(b, "text", namer))
-    frame = result.m_uft.frame
-    print("transfers:")
+    name = _NameMemo(result.m_uft.frame.name_of)
+    lines = ["transfers:"]
     for rec in result.audit:
-        ops = " , ".join(frame.name_of(b) for b in rec.operands)
-        targets = ", ".join(
-            f"{frame.name_of(b)}: {v:.3f}" for b, v in rec.targets
-        )
+        ops = " , ".join([name[b] for b in rec.operands])
+        targets = ", ".join([f"{name[b]}: {v:.3f}" for b, v in rec.targets])
         rel = rec.relationship.value if rec.relationship else "kept"
-        print(f"  ({ops}) {rec.mass:.3f} [{rel}] -> {targets}")
+        lines.append(f"  ({ops}) {rec.mass:.3f} [{rel}] -> {targets}")
+    print("\n".join(lines))
     return 0
 
 
@@ -463,10 +464,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use; ``parse_args``
+    leaves a parser unchanged, so one serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("missing subcommand (see --help)")
         return args.func(args)

@@ -27,9 +27,12 @@ or split back onto the operands proportionally to their masses (upper).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import AtomSet, EmptinessModel, Frame, World
 from .errors import (
@@ -241,17 +244,82 @@ class UftResult:
         doc["masses"] = {self.model.name_of(bits): v for bits, v in b.entries}
         return doc
 
-    def to_json(self) -> dict:
-        frame = self.m_uft.frame
+    def _bba_sections(self) -> dict:
         return {
             "m_uft": self._uft_masses_json(),
             "m_lower_closed": self.m_lower_closed.to_json(),
             "m_lower_open": self.m_lower_open.to_json(),
             "m_middle": self.m_middle.to_json(),
             "m_upper": self.m_upper.to_json(),
+        }
+
+    def to_json(self) -> dict:
+        frame = self.m_uft.frame
+        return {
+            **self._bba_sections(),
             "audit": [t.to_json(frame) for t in self.audit],
             "deferred": [[frame.name_of(b), v] for b, v in self.deferred],
         }
+
+    def write_json(self) -> str:
+        """``json.dumps(self.to_json(), indent=2)``, byte for byte.
+
+        The bba sections go through ``json.dumps``; each audit record
+        and deferred pair is written by one template, with every set
+        named and quoted once per call.
+        """
+        name_of = self.m_uft.frame.name_of
+        name = _NameMemo(lambda b: _quote(name_of(b)))
+
+        def record(t: TransferRecord) -> str:
+            ops = _json_list([name[b] for b in t.operands], 6)
+            targets = _json_list([_json_pair(name[b], v, 8) for b, v in t.targets], 6)
+            return (f'{{\n      "operands": {ops},\n      "result": {name[t.result]},'
+                    f'\n      "mass": {_json_number(t.mass)},'
+                    f'\n      "relationship": {_REL_JSON[t.relationship]},'
+                    f'\n      "targets": {targets}\n    }}')
+
+        head = json.dumps(self._bba_sections(), indent=2)  # ends "\n}"
+        audit = _json_list([record(t) for t in self.audit], 2)
+        deferred = _json_list([_json_pair(name[b], v, 4) for b, v in self.deferred], 2)
+        return f'{head[:-2]},\n  "audit": {audit},\n  "deferred": {deferred}\n}}'
+
+
+class _NameMemo(dict):
+    """``memo[bits]`` is ``namer(bits)``, computed once per key."""
+
+    def __init__(self, namer):
+        super().__init__()
+        self.namer = namer
+
+    def __missing__(self, bits):
+        name = self[bits] = self.namer(bits)
+        return name
+
+
+_REL_JSON = {None: '"kept"', **{r: _quote(r.value) for r in Relationship}}
+
+
+def _json_number(v) -> str:
+    """A mass as ``json.dumps`` spells it."""
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
+def _json_list(items: list, indent: int) -> str:
+    """Already-encoded ``items`` as an indent-2 JSON list whose closing
+    bracket sits ``indent`` spaces in."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+def _json_pair(quoted: str, v, indent: int) -> str:
+    """A ``[name, mass]`` pair as an indent-2 JSON list."""
+    pad = " " * (indent + 2)
+    return f"[\n{pad}{quoted},\n{pad}{_json_number(v)}\n{pad[:-2]}]"
 
 
 # --- term expansion ----------------------------------------------------------
@@ -289,9 +357,16 @@ class RedistContext:
     annotation: Annotation | None = None
     options: UftOptions = field(default_factory=UftOptions)
 
+    @cached_property
+    def _masses(self) -> tuple[dict, ...]:
+        """Each source's masses by focal set."""
+        return tuple(dict(s.entries) for s in self.sources)
+
 
 def _proportional_split(ops, p, ctx: RedistContext):
-    shares = [ctx.sources[i].mass(b) for i, b in enumerate(ops)]
+    if len(ops) != len(ctx.sources):
+        raise InputError("a proportional split needs one operand per source")
+    shares = [m.get(b, 0.0) for m, b in zip(ctx._masses, ops)]
     den = math.fsum(shares)
     if den == 0.0:
         return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
@@ -347,7 +422,7 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
             )
         if ctx.options.neither_right_proportional:
             weights = [
-                math.fsum(s.mass(t) for s in ctx.sources) for t in targets
+                math.fsum(m.get(t, 0.0) for m in ctx._masses) for t in targets
             ]
             wsum = math.fsum(weights)
         else:
@@ -382,26 +457,33 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
     kept: dict = {}
     conflict = []
 
+    live = ~model.forced_empty_bits
+    routes: dict = {}  # result -> (context, relationship), one per result
+
     for ops, p in product_terms(sources):
         result = star(ops)
-        ctx = contexts.get(result, plain)
-        ann = ctx.annotation
-        if ann is not None:
-            rel = ann.rel
-        elif model.is_empty(AtomSet(frame, result)):
-            rel = Relationship.PESSIMISTIC_BOTH
-        else:
-            rel = None
+        route = routes.get(result)
+        if route is None:
+            ctx = contexts.get(result, plain)
+            ann = ctx.annotation
+            if ann is not None:
+                rel = ann.rel
+            elif not result & live:
+                rel = Relationship.PESSIMISTIC_BOTH
+            else:
+                rel = None
+            route = routes[result] = (ctx, rel)
+        ctx, rel = route
 
         if rel is None:
-            targets = [(result, p)]
+            targets = ((result, p),)
         else:
-            targets = redistribute((ops, result, p), rel, ctx)
-            if rel is Relationship.UNKNOWN_DEFAULT and targets == [(result, p)]:
+            targets = tuple(redistribute((ops, result, p), rel, ctx))
+            if rel is Relationship.UNKNOWN_DEFAULT and targets == ((result, p),):
                 deferred[result] = deferred.get(result, 0.0) + p
         for b, v in targets:
             fused[b] = fused.get(b, 0.0) + v
-        audit.append(TransferRecord(ops, result, p, rel, tuple(targets)))
+        audit.append(TransferRecord(ops, result, p, rel, targets))
 
         # pessimism brackets: free-algebra view, annotations ignored
         if result == _AND(ops) and result not in ops:

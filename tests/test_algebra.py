@@ -302,6 +302,16 @@ class TestBooleanLaws:
         with pytest.raises(InputError, match="complement is unary"):
             set_op("complement", a, a)
 
+    def test_set_op_unknown_kind_is_an_input_error(self):
+        a = Frame(LABELS3).atoms_of("A")
+        with pytest.raises(InputError, match="unknown set operation 'xor'"):
+            set_op("xor", a, a)
+
+    def test_set_op_non_set_operand_is_an_input_error(self):
+        a = Frame(LABELS3).atoms_of("A")
+        with pytest.raises(InputError, match="operands must be AtomSets"):
+            set_op("union", a, 3)
+
     def test_set_op_dispatch(self):
         frame = Frame(LABELS3)
         a, b = frame.atoms_of("A"), frame.atoms_of("B|C")

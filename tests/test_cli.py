@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit import GrayImage, load_pgm, save_pgm
-from fusionkit.cli import main
+from fusionkit import GrayImage, load_pgm, save_pgm, scenario_from_json, uft_fuse
+from fusionkit.cli import _parser, build_parser, emit_table, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -124,6 +124,32 @@ class TestFuseCommand:
         assert err == "error: need at least two sources\n"
 
 
+def reference_uft_text(result) -> str:
+    """``uft`` text output as the per-record print loop wrote it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fused_names = result.model.name_of if result.model else None
+        for label, b, namer in (
+            ("fused", result.m_uft, fused_names),
+            ("lower (closed)", result.m_lower_closed, None),
+            ("lower (open)", result.m_lower_open, None),
+            ("middle", result.m_middle, None),
+            ("upper", result.m_upper, None),
+        ):
+            print(f"{label}:")
+            print(emit_table(b, "text", namer))
+        frame = result.m_uft.frame
+        print("transfers:")
+        for rec in result.audit:
+            ops = " , ".join(frame.name_of(b) for b in rec.operands)
+            targets = ", ".join(
+                f"{frame.name_of(b)}: {v:.3f}" for b, v in rec.targets
+            )
+            rel = rec.relationship.value if rec.relationship else "kept"
+            print(f"  ({ops}) {rec.mass:.3f} [{rel}] -> {targets}")
+    return out.getvalue()
+
+
 class TestUftCommand:
     def test_text_sections(self):
         code, out, _ = run(["uft", fixture("uft_right_is.json")])
@@ -148,6 +174,16 @@ class TestUftCommand:
         assert doc["deferred"] == []
         assert any(rec["relationship"] == "right_is"
                    for rec in doc["audit"])
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_text_matches_the_reference_writer(self, path):
+        code, out, err = run(["uft", str(path)])
+        if code != 0:  # not a scenario uft accepts
+            assert "error" in err
+            return
+        result = uft_fuse(scenario_from_json(json.loads(path.read_text())))
+        assert out == reference_uft_text(result)
 
     @pytest.mark.parametrize("reliability, pointer", [
         ("x", "/reliability"),
@@ -451,6 +487,42 @@ class TestExitCodes:
         code, _, err = run([])
         assert code == 1
         assert "usage error" in err
+
+
+class TestParserReuse:
+    """``main`` parses with one cached parser; no call may leak into the
+    next one."""
+
+    @staticmethod
+    def fresh(argv):
+        _parser.cache_clear()
+        return run(argv)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert _parser() is _parser()
+
+    def test_flag_does_not_stick(self):
+        plain = ["tcn", "--variant", "pcr5v2", "--format", "csv",
+                 fixture("tcn_triple.json")]
+        want = self.fresh(plain)
+        normalized = run(plain[:-1] + ["--normalize", plain[-1]])
+        assert normalized[0] == 0 and normalized[1] != want[1]
+        assert run(plain) == want
+
+    def test_format_does_not_stick(self):
+        text = ["fuse", "--rule", "pcr5", fixture("two_source_disjoint.json")]
+        want = self.fresh(text)
+        code, out, _ = run(text[:3] + ["--format", "json", text[3]])
+        assert code == 0 and json.loads(out)
+        assert run(text) == want
+
+    def test_usage_error_does_not_stick(self):
+        valid = ["uft", "--format", "csv", fixture("uft_right_is.json")]
+        want = self.fresh(valid)
+        code, _, err = run(["uft", "--format", "yaml", valid[-1]])
+        assert code == 1 and "usage error" in err
+        assert run(valid) == want
 
 
 # --- fuzzing the scenario boundary ---------------------------------------------

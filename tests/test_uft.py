@@ -6,8 +6,10 @@ whole catalog at once, including the model-aware class naming of the
 results.
 """
 
+import json
 import math
 import operator
+import pathlib
 from functools import reduce
 
 import pytest
@@ -33,6 +35,7 @@ from fusionkit import (
     ReliabilityKind,
     TransferRecord,
     UftOptions,
+    UftResult,
     UftScenario,
     World,
     conjunctive,
@@ -48,7 +51,7 @@ from fusionkit import (
     uft_fuse,
     uft_fuse_dynamic,
 )
-from fusionkit.errors import InputError, NoOtherHypotheses
+from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses
 
 
 def fuse_pair(frame, s1, s2, model, rel, side=None, options=None):
@@ -446,6 +449,11 @@ class TestRedistribute:
         with pytest.raises(InputError):
             redistribute(self.term, Relationship.RIGHT_IS, self.ctx())
 
+    @pytest.mark.parametrize("ops", [(1,), (1, 2, 3)])
+    def test_proportional_split_needs_one_operand_per_source(self, ops):
+        with pytest.raises(InputError, match="one operand per source"):
+            redistribute((ops, 0, 0.08), Relationship.OPTIMISTIC_BOTH, self.ctx())
+
     def test_side_rejected_for_other_relationships(self):
         a, b = self.frame.atoms_of("A"), self.frame.atoms_of("B")
         with pytest.raises(InputError):
@@ -768,3 +776,63 @@ class TestBracketsAgainstTheTermLoop:
             for b in set(have) | set(masses):
                 assert have.get(b, 0.0) == pytest.approx(
                     masses.get(b, 0.0), abs=BRACKET_TOL, rel=0), (name, b)
+
+
+# --- the audit writer against the generic encoder ------------------------------
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _data_results():
+    """The fused result of every data file that ``uft`` accepts."""
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        try:
+            result = uft_fuse(scenario_from_json(json.loads(path.read_text())))
+        except (json.JSONDecodeError, FusionKitError):
+            continue
+        out.append(pytest.param(result, id=path.name))
+    return out
+
+
+DATA_RESULTS = _data_results()
+
+
+def generic_json(result: UftResult) -> str:
+    return json.dumps(result.to_json(), indent=2)
+
+
+class TestWriteJson:
+    def test_most_data_files_are_scenarios(self):
+        assert len(DATA_RESULTS) >= 7
+
+    @pytest.mark.parametrize("result", DATA_RESULTS)
+    def test_data_scenarios(self, result):
+        assert result.write_json() == generic_json(result)
+
+    @given(_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_scenario_corpus(self, scenario):
+        try:
+            result = uft_fuse(scenario)
+        except NoOtherHypotheses:
+            return
+        assert result.write_json() == generic_json(result)
+
+    @pytest.mark.parametrize("model", [None, ("A&B",)])
+    def test_edge_values_and_empty_lists(self, model):
+        frame = Frame(("A", "B"))
+        b = make_bba(frame, {"A": 0.25, "B": 0.5, "A|B": 0.25})
+        model = model and EmptinessModel.from_exprs(frame, model)
+        records = (
+            TransferRecord((1, 2), 0, -0.0, None, ((0, -0.0),)),
+            TransferRecord((1, 3), 1, 5e-324, Relationship.RIGHT_IS, ((1, 5e-324),)),
+            TransferRecord((3, 3), 3, 1e16, Relationship.NEITHER_RIGHT,
+                           ((1, 1e16), (2, 0.1))),
+            # not finite floats: json.dumps's own spelling
+            TransferRecord((), 3, math.nan, Relationship.CONSENSUS, ()),
+            TransferRecord((3,), 3, 1, None, ((3, -math.inf),)),
+        )
+        for audit, deferred in (((), ()), (records, ((0, -0.0), (3, 1e16)))):
+            result = UftResult(b, b, b, b, b, audit, deferred, model)
+            assert result.write_json() == generic_json(result)
