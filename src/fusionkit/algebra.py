@@ -134,8 +134,10 @@ class Frame:
 
 def build_frame(labels, world: World | str = World.CLOSED) -> Frame:
     """Validate labels and return a frame."""
-    if isinstance(world, str):
+    try:
         world = World(world)
+    except ValueError:
+        raise InputError(f"unknown world {world!r}") from None
     return Frame(tuple(labels), world)
 
 

@@ -136,10 +136,17 @@ def _iv_op(fn, kind, a, b):
     return (fn(kind, a[0], b[0]), fn(kind, a[1], b[1]))
 
 
+def _recipe_pair(recipe: NsRecipe):
+    try:
+        return _RECIPE_PAIR[recipe]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown recipe {recipe!r}") from None
+
+
 def n_norm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
     """Neutrosophic conjunction: T by the recipe's T-norm, I and F by
     the dual T-conorm, endpointwise on intervals."""
-    norm, conorm = _RECIPE_PAIR[recipe]
+    norm, conorm = _recipe_pair(recipe)
     (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
     return NsTriple(
         _crisp(_iv_op(tnorm, norm, t1, t2)),
@@ -151,7 +158,7 @@ def n_norm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
 def n_conorm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
     """Neutrosophic disjunction: T by the dual T-conorm, I and F by the
     recipe's T-norm."""
-    norm, conorm = _RECIPE_PAIR[recipe]
+    norm, conorm = _recipe_pair(recipe)
     (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
     return NsTriple(
         _crisp(_iv_op(tconorm, conorm, t1, t2)),

@@ -8,8 +8,8 @@ intersection, union, symmetric difference or a grouping tree; *mark*
 the results that may not keep mass, normally those the emptiness model
 forces empty; pool unmarked terms on their result sets and record
 marked ones in a :class:`ConflictLedger`; then *dispose* of the
-ledger's mass and optionally rescale.  Each named rule is a
-configuration of that pipeline:
+ledger's mass and optionally rescale.  Each named rule is one call of
+:func:`_rule`, the pipeline with its configuration:
 
 * conjunctive     -- intersection, model-empty marked, ledger returned;
 * disjunctive, exclusive disjunctive, mixed
@@ -168,7 +168,7 @@ def product_terms(sources):
             yield ops, p
 
 
-def _pool(sources, star=_AND, marked=_NEVER, value=math.prod):
+def _pool(sources, star, marked, value):
     """Expand, star and mark every term: the kept mass by result set,
     and the ledger of marked terms."""
     kept: dict = {}
@@ -185,10 +185,21 @@ def _pool(sources, star=_AND, marked=_NEVER, value=math.prod):
     return kept, ConflictLedger(sources[0].frame, tuple(entries))
 
 
-def _split(v: float, parts, den: float):
+def _split(v: float, parts):
     """``v`` shared over ``parts`` ((target, weight), ...) in proportion
-    to weight / ``den``; the last target takes the remainder, so the
-    shares sum to ``v`` exactly."""
+    to the weights, targets in input order, or None when the weights sum
+    to zero.  Weights whose sum overflows are split by their ratios to
+    the largest.  The last target takes the remainder, so the k shares
+    sum to ``v`` within (k-1) ulp(v): one rounding per remainder step.
+    """
+    try:
+        den = math.fsum(w for _, w in parts)
+    except OverflowError:
+        top = max(w for _, w in parts)
+        parts = [(target, w / top) for target, w in parts]
+        den = math.fsum(w for _, w in parts)
+    if den == 0.0:
+        return None
     last = len(parts) - 1
     out, left = [], v
     for i, (target, w) in enumerate(parts):
@@ -209,10 +220,19 @@ def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
     return 0 if frame.world is World.OPEN else full
 
 
-def _source_masses(*sources: Bba):
-    """Weights of a ledger entry: its operands' own masses."""
-    masses = [dict(s.entries) for s in sources]
-    return lambda e: [m[b] for m, b in zip(masses, e.operands)]
+def _mass_table(sources) -> tuple[dict, ...]:
+    """Each source's masses by focal set."""
+    return tuple(dict(s.entries) for s in sources)
+
+
+def _source_masses(masses, constants=None):
+    """Weights of a ledger entry, one per operand: the operand's own mass
+    in ``masses`` (one dict per source), or its source's entry of
+    ``constants`` where that is not None."""
+    if constants is None:
+        return lambda e: [m[b] for m, b in zip(masses, e.operands)]
+    return lambda e: [m[b] if k is None else k
+                      for m, b, k in zip(masses, e.operands, constants)]
 
 
 def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
@@ -225,7 +245,7 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     each operand its weight times the ``"ratio"`` of value to ``conorm(*ws)``.
     A zero split or ratio denominator raises ``on_zero``, or falls back to the union.
     ``rescale=(floor, error)`` then divides by the total, raising
-    ``error`` when the total is at most ``floor``."""
+    ``error(ledger)`` when the total is at most ``floor``."""
     frame = ledger.frame
     if how in ("ignorance", "empty"):
         k = ledger.total()
@@ -235,32 +255,56 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     elif how != "discard":
         for e in ledger.entries:
             v, ops = e.product, e.operands
-            den = 0.0
-            if how != "union":
+            shares = None
+            if how == "split":
+                shares = _split(v, tuple(zip(ops, weights(e))))
+            elif how == "ratio":
                 ws = weights(e)
-                den = sum(ws) if how == "split" else conorm(*ws)
-                if how == "split" and not math.isfinite(den):
-                    # the sum overflowed: split by the weights' ratios instead
-                    top = max(ws)
-                    ws = [w / top for w in ws]
-                    den = sum(ws)
-                if den == 0.0 and on_zero is not None:
+                den = conorm(*ws)
+                if den != 0.0:
+                    shares = [(b, w * (v / den)) for b, w in zip(ops, ws)]
+            if shares is None:
+                if how != "union" and on_zero is not None:
                     raise on_zero
-            if den == 0.0:
                 shares = ((_union_escalate(frame, _OR(ops), model), v),)
-            elif how == "split":
-                shares = _split(v, tuple(zip(ops, ws)), den)
-            else:
-                shares = [(b, w * (v / den)) for b, w in zip(ops, ws)]
             for b, x in shares:
                 out[b] = out.get(b, 0.0) + x
     if rescale is not None:
         floor, error = rescale
         total = math.fsum(out.values())
         if total <= floor:
-            raise error
+            raise error(ledger)
         out = {b: v / total for b, v in out.items()}
     return out
+
+
+def _rule(sources, model: EmptinessModel | None = None, how: str = "discard", *,
+          star=_AND, marked=None, value=math.prod, weights=None, **dispose):
+    """Run one configuration of the pipeline: ``(bba, ledger)``.
+
+    Checks the sources, defaults ``model`` to the free one, pools the
+    terms valued by ``value`` on their ``star`` results, marking those
+    ``marked`` selects (by default: model-empty), and disposes of the
+    ledger as ``how`` says (see :func:`_dispose`, which also takes the
+    ``dispose`` keywords).  Split and ratio disposals weigh each operand
+    by its own source mass, or by that source's entry of ``weights``
+    where it is not None.
+    """
+    frame = _check_sources(sources)
+    model = model or EmptinessModel.free(frame)
+    marked = _marks_empty(model) if marked is None else marked
+    kept, ledger = _pool(sources, star, marked, value)
+    if how in ("split", "ratio"):
+        weights = _source_masses(_mass_table(sources), weights)
+    out = _dispose(kept, ledger, how, model, weights=weights, **dispose)
+    return Bba._from_masses(frame, out), ledger
+
+
+def _rule_id(rule) -> RuleId:
+    try:
+        return RuleId(rule)
+    except ValueError:
+        raise InputError(f"unknown rule {rule!r}") from None
 
 
 # --- the rules ---------------------------------------------------------------
@@ -273,16 +317,12 @@ def conjunctive(*sources, model: EmptinessModel | None = None):
     the ledger, everything else to the bba.  Under the free model the
     ledger only ever holds mass landing on the structurally empty set.
     """
-    frame = _check_sources(sources)
-    model = model or EmptinessModel.free(frame)
-    kept, ledger = _pool(sources, _AND, _marks_empty(model))
-    return Bba._from_masses(frame, kept), ledger
+    return _rule(sources, model)
 
 
 def disjunctive(*sources) -> Bba:
     """N-ary disjunctive rule: products land on unions, no conflict."""
-    frame = _check_sources(sources)
-    return Bba._from_masses(frame, _pool(sources, _OR)[0])
+    return _rule(sources, star=_OR, marked=_NEVER)[0]
 
 
 def exclusive_disjunctive(*sources) -> Bba:
@@ -293,8 +333,7 @@ def exclusive_disjunctive(*sources) -> Bba:
     two sources the symmetric difference folds pairwise (bitmask xor is
     associative, so the fold order is immaterial).
     """
-    frame = _check_sources(sources)
-    return Bba._from_masses(frame, _pool(sources, _XOR)[0])
+    return _rule(sources, star=_XOR, marked=_NEVER)[0]
 
 
 def mixed(sources, grouping) -> Bba:
@@ -307,9 +346,8 @@ def mixed(sources, grouping) -> Bba:
     there (with an or-node at the root this cannot happen unless a
     source already carries mass on the empty set).
     """
-    frame = _check_sources(sources)
     star = _grouping(grouping, len(sources), " in the grouping")
-    return Bba._from_masses(frame, _pool(sources, star)[0])
+    return _rule(sources, star=star, marked=_NEVER)[0]
 
 
 def murphy_average(*sources) -> Bba:
@@ -332,11 +370,7 @@ def pcr5(m1: Bba, m2: Bba, model: EmptinessModel | None = None) -> Bba:
     More than two sources are handled by :func:`fuse_many` as a left
     fold; the fold is quasi-associative, not associative.
     """
-    out_bba, ledger = conjunctive(m1, m2, model=model)
-    model = model or EmptinessModel.free(m1.frame)
-    out = _dispose(dict(out_bba.entries), ledger, "split", model,
-                   weights=_source_masses(m1, m2))
-    return Bba._from_masses(m1.frame, out)
+    return _rule((m1, m2), model, "split")[0]
 
 
 #: Disposal of the conjunctive ledger for each two-source conflict rule.
@@ -346,37 +380,30 @@ _DISPOSALS = {
     RuleId.SMETS_TBM: "empty",
     RuleId.DUBOIS_PRADE: "union",
     RuleId.DSMH: "union",
+    RuleId.PCR5: "split",
 }
+
+#: Dempster's rescale: K is computed only for the error message.
+_DEMPSTER_RESCALE = (_TOTAL_CONFLICT_TOL, lambda ledger: TotalConflict(
+    f"conflict mass {ledger.total()} leaves nothing to normalize"))
 
 
 def combine(rule: RuleId | str, m1: Bba, m2: Bba,
             model: EmptinessModel | None = None) -> Bba:
     """Dispatch a two-source combination by rule id."""
-    if isinstance(rule, str):
-        rule = RuleId(rule)
+    rule = _rule_id(rule)
     if rule is RuleId.MIXED:
         raise BadGrouping("the mixed rule needs a grouping tree; call mixed()")
-    if rule is RuleId.PCR5:
-        return pcr5(m1, m2, model)
     if rule not in _DISPOSALS:
         return fuse_many(rule, (m1, m2), model)
-
-    out_bba, ledger = conjunctive(m1, m2, model=model)
-    rescale = None
-    if rule is RuleId.DEMPSTER:
-        k = ledger.total()
-        rescale = (_TOTAL_CONFLICT_TOL,
-                   TotalConflict(f"conflict mass {k} leaves nothing to normalize"))
-    out = _dispose(dict(out_bba.entries), ledger, _DISPOSALS[rule],
-                   model or EmptinessModel.free(m1.frame), rescale=rescale)
-    return Bba._from_masses(m1.frame, out)
+    rescale = _DEMPSTER_RESCALE if rule is RuleId.DEMPSTER else None
+    return _rule((m1, m2), model, _DISPOSALS[rule], rescale=rescale)[0]
 
 
 def fuse_many(rule: RuleId | str, sources, model: EmptinessModel | None = None,
               grouping=None) -> Bba:
     """N-ary fusion: native for symmetric rules, left fold otherwise."""
-    if isinstance(rule, str):
-        rule = RuleId(rule)
+    rule = _rule_id(rule)
     sources = list(sources)
     if rule is RuleId.MIXED:
         if grouping is None:

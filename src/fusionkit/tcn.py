@@ -30,17 +30,7 @@ from .errors import (
     ZeroTotalMass,
 )
 from .mass import Bba
-from .rules import (
-    _AND,
-    _NEVER,
-    _OR,
-    _TOTAL_CONFLICT_TOL,
-    _check_sources,
-    _dispose,
-    _marks_empty,
-    _pool,
-    _source_masses,
-)
+from .rules import _AND, _NEVER, _OR, _TOTAL_CONFLICT_TOL, _rule
 
 
 class TNorm(Enum):
@@ -95,13 +85,13 @@ def tcn_conjunctive(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     Returns the (generally unnormalised) combined assignment plus the
     ledger of terms whose intersection the model forces empty.
     """
-    frame = _check_sources((m1, m2))
-    model = model or EmptinessModel.free(frame)
-    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
-    return Bba._from_masses(frame, kept), ledger
+    return _rule((m1, m2), model, value=_valuation(norm))
 
 
 _VARIANTS = {"dempster": "discard", "yager": "ignorance", "smets": "empty"}
+
+_DEMPSTER_RESCALE = (_TOTAL_CONFLICT_TOL,
+                     lambda _: TotalConflict("all combined mass fell on empty sets"))
 
 
 def tn_family(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -113,18 +103,16 @@ def tn_family(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     ``yager`` hands the conflict to total ignorance, ``smets`` leaves it
     on the empty set.  Only ``dempster`` returns a normalised result.
     """
-    out, ledger = tcn_conjunctive(m1, m2, norm=norm, model=model)
     if not isinstance(variant, str) or variant not in _VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
-    rescale = (_TOTAL_CONFLICT_TOL, TotalConflict("all combined mass fell on empty sets"))
-    masses = _dispose(dict(out.entries), ledger, _VARIANTS[variant],
-                      rescale=rescale if variant == "dempster" else None)
-    return Bba._from_masses(m1.frame, masses)
+    rescale = _DEMPSTER_RESCALE if variant == "dempster" else None
+    return _rule((m1, m2), model, _VARIANTS[variant], value=_valuation(norm),
+                 rescale=rescale)[0]
 
 
 def _unit_total(normalize: bool = True):
     """Final rescale of the T-norm rules and the master formula."""
-    return (0.0, ZeroTotalMass("nothing to rescale")) if normalize else None
+    return (0.0, lambda _: ZeroTotalMass("nothing to rescale")) if normalize else None
 
 
 def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -133,15 +121,10 @@ def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     """Proportional conflict transfer where each side of a conflicting
     pair gets its mass times T-norm over T-conorm of the pair, then the
     whole assignment is rescaled to sum to one."""
-    frame = _check_sources((m1, m2))
-    model = model or EmptinessModel.free(frame)
-    conorm = conorm or DUAL_CONORM[norm]
-    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
-    out = _dispose(
-        kept, ledger, "ratio", model, weights=_source_masses(m1, m2),
-        conorm=partial(tconorm, conorm), rescale=_unit_total(),
-        on_zero=ZeroDenominator("conflicting pair with zero T-conorm value"))
-    return Bba._from_masses(frame, out)
+    return _rule(
+        (m1, m2), model, "ratio", value=_valuation(norm),
+        conorm=partial(tconorm, conorm or DUAL_CONORM[norm]), rescale=_unit_total(),
+        on_zero=ZeroDenominator("conflicting pair with zero T-conorm value"))[0]
 
 
 def pcr5v2_tn(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -151,16 +134,12 @@ def pcr5v2_tn(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     value between the two sides proportionally to their masses.
 
     The split of value ``v`` carried by the pair (X, Y) is
-    ``m1(X) v / (m1(X)+m2(Y))`` to X and the remainder to Y, which
-    conserves ``v`` exactly.  Pass ``normalize=True`` to rescale the
-    result by its own total at the end.
+    ``m1(X) v / (m1(X)+m2(Y))`` to X and the remainder to Y, so the two
+    shares sum to ``v`` within one ulp.  Pass ``normalize=True`` to
+    rescale the result by its own total at the end.
     """
-    frame = _check_sources((m1, m2))
-    model = model or EmptinessModel.free(frame)
-    kept, ledger = _pool((m1, m2), _AND, _marks_empty(model), _valuation(norm))
-    out = _dispose(kept, ledger, "split", model, weights=_source_masses(m1, m2),
-                   rescale=_unit_total(normalize))
-    return Bba._from_masses(frame, out)
+    return _rule((m1, m2), model, "split", value=_valuation(norm),
+                 rescale=_unit_total(normalize))[0]
 
 
 # --- master formula ----------------------------------------------------------
@@ -265,32 +244,22 @@ def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
     Dempster (without it, the conjunctive rule's kept mass), ``UNION``
     is Dubois-Prade / DSm hybrid, and ``IGNORANCE`` is Yager.
     """
-    frame = _check_sources((m1, m2))
-    model = model or EmptinessModel.free(frame)
-
     if isinstance(config.transferable, tuple):
         if not all(isinstance(e, str) for e in config.transferable):
             raise InputError("transferable sets must be set expressions")
-        listed = frozenset(frame.atoms_of(e).bits for e in config.transferable)
+        listed = frozenset(m1.frame.atoms_of(e).bits for e in config.transferable)
         marked = listed.__contains__
     elif config.transferable == "model_empty":
-        marked = _marks_empty(model)
+        marked = None
     elif config.transferable == "never":
         marked = _NEVER
     else:
         raise InputError(f"unknown transferable spec {config.transferable!r}")
 
-    k1, k2 = _weight(config.weight_1), _weight(config.weight_2)
-    star = _AND if config.star is StarOp.CONJUNCTIVE else _OR
-    kept, ledger = _pool((m1, m2), star, marked, _valuation(config.combiner))
-    source = _source_masses(m1, m2)
-
-    def weights(entry):
-        w1, w2 = source(entry)
-        return w1 if k1 is None else k1, w2 if k2 is None else k2
-
-    out = _dispose(
-        kept, ledger, _TRANSFERS[config.transfer], model, weights=weights,
+    return _rule(
+        (m1, m2), model, _TRANSFERS[config.transfer],
+        star=_AND if config.star is StarOp.CONJUNCTIVE else _OR,
+        marked=marked, value=_valuation(config.combiner),
+        weights=(_weight(config.weight_1), _weight(config.weight_2)),
         rescale=_unit_total(config.normalize),
-        on_zero=DegenerateWeights("marked value with zero total routing weight"))
-    return Bba._from_masses(frame, out)
+        on_zero=DegenerateWeights("marked value with zero total routing weight"))[0]

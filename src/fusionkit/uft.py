@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .mass import Bba, _is_strings, discount, make_bba
 from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _dispose, _grouping,
-                    _source_masses, _split, _union_escalate, product_terms)
+                    _mass_table, _source_masses, _split, _union_escalate, product_terms)
 
 
 class Relationship(Enum):
@@ -141,7 +142,11 @@ class Reliability:
 
     @classmethod
     def discounts(cls, alphas):
-        return cls(ReliabilityKind.DISCOUNTS, alphas=tuple(float(a) for a in alphas))
+        try:
+            alphas = tuple(float(a) for a in alphas)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("discount factors must be numbers") from None
+        return cls(ReliabilityKind.DISCOUNTS, alphas=alphas)
 
 
 @dataclass(frozen=True)
@@ -360,17 +365,16 @@ class RedistContext:
     @cached_property
     def _masses(self) -> tuple[dict, ...]:
         """Each source's masses by focal set."""
-        return tuple(dict(s.entries) for s in self.sources)
+        return _mass_table(self.sources)
 
 
 def _proportional_split(ops, p, ctx: RedistContext):
     if len(ops) != len(ctx.sources):
         raise InputError("a proportional split needs one operand per source")
-    shares = [m.get(b, 0.0) for m, b in zip(ctx._masses, ops)]
-    den = math.fsum(shares)
-    if den == 0.0:
+    shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(ctx._masses, ops)])
+    if shares is None:
         return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
-    return _split(p, tuple(zip(ops, shares)), den)
+    return shares
 
 
 def _other_singletons(ctx: RedistContext, sides):
@@ -391,7 +395,8 @@ def _other_singletons(ctx: RedistContext, sides):
 
 def redistribute(term, rel: Relationship, ctx: RedistContext):
     """Route one product term (ops, result, mass); returns
-    [(target bits, mass), ...] summing exactly to the term's mass."""
+    [(target bits, mass), ...] whose k masses sum to the term's mass
+    within (k-1) ulp of it (see :func:`fusionkit.rules._split`)."""
     ops, result, p = term
     ann = ctx.annotation
     union_bits = ann.union_bits if ann is not None else _OR(ops)
@@ -420,24 +425,18 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
                 "no hypothesis outside "
                 f"{ctx.frame.name_of(union_bits)} to receive the mass"
             )
+        shares = None
         if ctx.options.neither_right_proportional:
-            weights = [
-                math.fsum(m.get(t, 0.0) for m in ctx._masses) for t in targets
-            ]
-            wsum = math.fsum(weights)
-        else:
-            wsum = 0.0
-        if wsum == 0.0:
-            weights = [1.0] * len(targets)
-            wsum = float(len(targets))
-        return _split(p, tuple(zip(targets, weights)), wsum)
+            shares = _split(p, [(t, math.fsum(m.get(t, 0.0) for m in ctx._masses))
+                                for t in targets])
+        return shares or _split(p, [(t, 1.0) for t in targets])
     if rel is Relationship.NEITHER_RIGHT_NO_OTHERS:
         return [(0, p)]
     if rel is Relationship.UNKNOWN_DEFAULT:
         if ctx.model.is_empty(AtomSet(ctx.frame, result)):
             return [(_union_escalate(ctx.frame, union_bits, ctx.model), p)]
         return [(result, p)]
-    raise ValueError(f"unhandled relationship {rel!r}")
+    raise InputError(f"unknown relationship {rel!r}")
 
 
 # --- the fusion itself -------------------------------------------------------
@@ -500,7 +499,7 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
     free = EmptinessModel.free(frame)
     lower_closed = _dispose(dict(kept), ledger, "ignorance")
     upper = _dispose(dict(kept), ledger, "split", free,
-                     weights=_source_masses(*sources))
+                     weights=_source_masses(plain._masses))
     if scenario.options.middle_from_average:
         middle: dict = {}
         for acc in (lower_closed, upper):
@@ -527,21 +526,33 @@ def reroute_mass(b: Bba, source_set, targets) -> Bba:
 
     Supports the deferred-decision workflow: mass kept on an
     intersection under an unknown relationship can be re-routed once the
-    model is settled.  ``targets`` is a list of (set, weight) pairs.
+    model is settled.  ``targets`` is a list of (set, weight) pairs;
+    each weight is a finite number >= 0, and they sum to more than 0.
     """
     frame = b.frame
     src = frame.atoms_of(source_set)
+    weighted = [(frame.atoms_of(t).bits, _target_weight(w)) for t, w in targets]
     p = b.mass(src)
     if p == 0.0:
         return b
-    weighted = [(frame.atoms_of(t).bits, w) for t, w in targets]
-    wsum = math.fsum(w for _, w in weighted)
-    if wsum <= 0:
+    shares = _split(p, weighted)
+    if shares is None:
         raise InputError("target weights must sum to a positive value")
     out = {bits: v for bits, v in b.entries if bits != src.bits}
-    for bits, x in _split(p, weighted, wsum):
+    for bits, x in shares:
         out[bits] = out.get(bits, 0.0) + x
     return Bba._from_masses(frame, out)
+
+
+def _target_weight(w) -> float:
+    if isinstance(w, numbers.Real):
+        try:
+            x = float(w)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x) and x >= 0:
+            return x
+    raise InputError(f"target weight must be a finite number >= 0, got {w!r}")
 
 
 def uft_fuse_dynamic(initial: Bba, stream, *, model: EmptinessModel | None = None,

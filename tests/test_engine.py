@@ -41,6 +41,7 @@ from fusionkit import (
     ufr_combine,
 )
 from fusionkit.errors import DegenerateWeights, TotalConflict, ZeroTotalMass
+from fusionkit.rules import _split
 
 LABELS = ("A", "B", "C", "D")
 FOLD_RULES = (RuleId.DEMPSTER, RuleId.YAGER, RuleId.SMETS_TBM,
@@ -299,3 +300,40 @@ def test_zero_routing_weights_message():
     with pytest.raises(DegenerateWeights) as exc:
         ufr_combine(m1, m2, config, model)
     assert str(exc.value) == "marked value with zero total routing weight"
+
+
+# --- the proportional split ------------------------------------------------------
+
+split_weights = st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=2, max_size=6)
+split_values = st.floats(1e-300, 1.0, allow_subnormal=False)
+
+
+@given(split_values, split_weights)
+@PROPERTY
+def test_split_sums_to_the_value_within_one_ulp_per_remainder_step(v, weights):
+    parts = list(enumerate(weights))
+    shares = _split(v, parts)
+    if math.fsum(weights) == 0.0:
+        assert shares is None
+        return
+    assert [t for t, _ in shares] == [t for t, _ in parts]
+    k = len(parts)
+    assert abs(math.fsum(x for _, x in shares) - v) <= (k - 1) * math.ulp(v)
+
+
+@given(split_values, st.lists(st.floats(9e307, 1.7e308), min_size=2, max_size=6),
+       st.lists(st.floats(0.0, 1.0), max_size=3))
+@PROPERTY
+def test_overflowing_weights_split_by_their_ratio(v, big, small):
+    weights = big + small
+    shares = _split(v, list(enumerate(weights)))
+    assert [t for t, _ in shares] == list(range(len(weights)))
+    top = max(weights)
+    scaled = math.fsum(w / top for w in weights)
+    for (_, x), w in zip(shares, weights):
+        assert x == pytest.approx(v * (w / top) / scaled, rel=1e-12,
+                                  abs=len(weights) * math.ulp(v))
+
+
+def test_zero_weights_split_nothing():
+    assert _split(0.5, [("a", 0.0), ("b", 0.0)]) is None

@@ -15,8 +15,12 @@ from fusionkit import (
     AtomSet,
     EmptinessModel,
     Frame,
+    NsTriple,
+    RedistContext,
+    Reliability,
     RuleId,
     World,
+    build_frame,
     combine,
     conjunctive,
     disjunctive,
@@ -27,9 +31,11 @@ from fusionkit import (
     murphy_average,
     pcr5,
     product_terms,
+    redistribute,
     vacuous,
 )
 from fusionkit.errors import BadGrouping, InputError, TotalConflict
+from fusionkit.neutro import n_conorm, n_norm
 
 ALL_LABELS = ("A", "B", "C")
 
@@ -382,3 +388,31 @@ class TestFuseMany:
         _, s1, _ = pair
         with pytest.raises(InputError, match="need at least two sources"):
             fuse_many(rule, [s1], grouping=0)
+
+
+# --- the library boundary ----------------------------------------------------
+
+
+def _halves():
+    return make_bba(Frame(("A", "B")), {"A": 0.5, "B": 0.5})
+
+
+def _redistribute_with_a_string_relationship():
+    b = _halves()
+    ctx = RedistContext(b.frame, EmptinessModel.free(b.frame), (b, b))
+    redistribute(((1, 2), 0, 0.25), "consensus", ctx)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: combine("bogus", _halves(), _halves()),
+    lambda: fuse_many("bogus", [_halves(), _halves()]),
+    lambda: build_frame(["A", "B"], "bogus"),
+    _redistribute_with_a_string_relationship,
+    lambda: n_norm("min", NsTriple(0.5, 0.2, 0.3), NsTriple(0.5, 0.2, 0.3)),
+    lambda: n_conorm("min", NsTriple(0.5, 0.2, 0.3), NsTriple(0.5, 0.2, 0.3)),
+    lambda: Reliability.discounts(["x"]),
+], ids=["combine", "fuse_many", "build_frame", "redistribute", "n_norm", "n_conorm",
+        "discounts"])
+def test_bad_arguments_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()

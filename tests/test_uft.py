@@ -503,6 +503,23 @@ class TestDeferredWorkflow:
         with pytest.raises(InputError):
             reroute_mass(s1, "A", [("B", 0.0)])
 
+    @staticmethod
+    def halves():
+        return make_bba(Frame(("A", "B")), {"A": 0.5, "B": 0.5})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None])
+    def test_reroute_rejects_weights_that_are_not_finite_numbers(self, bad):
+        with pytest.raises(InputError, match="finite number"):
+            reroute_mass(self.halves(), "A", [("B", bad), ("A|B", 1.0)])
+
+    def test_reroute_rejects_negative_weights(self):
+        with pytest.raises(InputError, match="finite number >= 0"):
+            reroute_mass(self.halves(), "A", [("B", -1.0), ("A|B", 2.0)])
+
+    def test_reroute_splits_overflowing_weights_by_their_ratio(self):
+        out = reroute_mass(self.halves(), "A", [("B", 1e308), ("A|B", 1e308)])
+        assert out == make_bba(out.frame, {"B": 0.75, "A|B": 0.25})
+
 
 class TestDynamicFusion:
     def test_single_step_matches_static(self):
