@@ -33,6 +33,7 @@ from .errors import (
     TooFewHypotheses,
     TooManyHypotheses,
     UnknownLabel,
+    enum_member,
 )
 
 #: Hard cap on frame size: atom bitmasks must stay cheap machine integers
@@ -134,11 +135,7 @@ class Frame:
 
 def build_frame(labels, world: World | str = World.CLOSED) -> Frame:
     """Validate labels and return a frame."""
-    try:
-        world = World(world)
-    except ValueError:
-        raise InputError(f"unknown world {world!r}") from None
-    return Frame(tuple(labels), world)
+    return Frame(tuple(labels), enum_member(World, world, "world"))
 
 
 @dataclass(frozen=True, order=False)
@@ -207,13 +204,7 @@ class SetOpKind(Enum):
 
 def set_op(kind: SetOpKind | str, a: AtomSet, b: AtomSet | None = None) -> AtomSet:
     """Functional dispatch over the four set operations."""
-    if isinstance(kind, str):
-        try:
-            kind = SetOpKind(kind)
-        except ValueError:
-            raise InputError(f"unknown set operation {kind!r}") from None
-    if not isinstance(kind, SetOpKind):
-        raise InputError(f"unknown set operation {kind!r}")
+    kind = enum_member(SetOpKind, kind, "set operation")
     if not isinstance(a, AtomSet) or not isinstance(b, (AtomSet, type(None))):
         raise InputError("set operands must be AtomSets")
     if kind is SetOpKind.COMPLEMENT:

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .algebra import Frame, World, superpower_cardinality
-from .errors import ComputationError, InputError, UsageError
+from .errors import ComputationError, InputError, UsageError, enum_member
 from .mass import Bba
 from .neutro import NsRecipe, NsTriple, n_conorm, n_norm, ns_not
 from .nimage import (
@@ -295,11 +295,7 @@ class _NsExprParser:
             return ns_not(inner)
         if word in ("and", "or"):
             self._expect("[")
-            recipe_name = self._word()
-            try:
-                recipe = NsRecipe(recipe_name)
-            except ValueError:
-                raise InputError(f"unknown recipe {recipe_name!r}") from None
+            recipe = enum_member(NsRecipe, self._word(), "recipe")
             self._expect("]")
             self._expect("(")
             x = self._expr()

@@ -139,3 +139,15 @@ class SchemaError(InputError):
     def __init__(self, pointer, message):
         super().__init__(f"{pointer}: {message}")
         self.pointer = pointer
+
+
+def enum_member(kind, value, what: str, pointer: str | None = None):
+    """``kind(value)`` for a member or its value; anything else raises
+    ``InputError("unknown <what> <value>")``, a :class:`SchemaError` at
+    ``pointer`` when one is given."""
+    try:
+        return kind(value)
+    except ValueError:
+        message = f"unknown {what} {value!r}"
+        raise (InputError(message) if pointer is None
+               else SchemaError(pointer, message)) from None

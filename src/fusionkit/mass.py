@@ -23,12 +23,11 @@ from .errors import (
     NegativeMass,
     SchemaError,
     ZeroTotalMass,
+    enum_member,
 )
 
 #: Tolerance for crisp classification decisions.
 CLASSIFY_TOL = 1e-9
-
-MassValue = "float | tuple[float, float]"
 
 
 class NormClass(Enum):
@@ -196,10 +195,7 @@ def from_json(doc: dict) -> Bba:
         masses = doc["masses"]
     except (KeyError, TypeError) as exc:
         raise SchemaError("/", f"missing field {exc}") from None
-    try:
-        world = World(world)
-    except ValueError:
-        raise SchemaError("/world", f"unknown world {world!r}") from None
+    world = enum_member(World, world, "world", "/world")
     if not _is_strings(labels):
         raise SchemaError("/frame", "frame must be a list of labels")
     if not isinstance(masses, dict):

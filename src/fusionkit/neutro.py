@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm
-from .tcn import TConorm, TNorm, tconorm, tnorm
+from .tcn import DUAL_CONORM, TNorm, _lookup, tconorm, tnorm
 
 
 def _iv(c) -> tuple[float, float]:
@@ -125,46 +125,34 @@ class NsRecipe(Enum):
     BOUNDED = "bounded"
 
 
-_RECIPE_PAIR = {
-    NsRecipe.MIN: (TNorm.MIN, TConorm.MAX),
-    NsRecipe.ALGEBRAIC_PRODUCT: (TNorm.PRODUCT, TConorm.PROB_SUM),
-    NsRecipe.BOUNDED: (TNorm.BOUNDED, TConorm.BOUNDED_SUM),
-}
+#: Each recipe's value names its T-norm; the T-conorm is that norm's dual.
+_RECIPE_NORMS = {recipe: (TNorm(recipe.value), DUAL_CONORM[TNorm(recipe.value)])
+                for recipe in NsRecipe}
 
 
-def _iv_op(fn, kind, a, b):
-    return (fn(kind, a[0], b[0]), fn(kind, a[1], b[1]))
-
-
-def _recipe_pair(recipe: NsRecipe):
-    try:
-        return _RECIPE_PAIR[recipe]
-    except (KeyError, TypeError):
-        raise InputError(f"unknown recipe {recipe!r}") from None
+def _n_op(t_op, t_kind, rest_op, rest_kind, x: NsTriple, y: NsTriple) -> NsTriple:
+    """T by ``t_op(t_kind, ...)``, I and F by ``rest_op(rest_kind, ...)``,
+    endpointwise on intervals."""
+    (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
+    return NsTriple(
+        _crisp((t_op(t_kind, t1[0], t2[0]), t_op(t_kind, t1[1], t2[1]))),
+        _crisp((rest_op(rest_kind, i1[0], i2[0]), rest_op(rest_kind, i1[1], i2[1]))),
+        _crisp((rest_op(rest_kind, f1[0], f2[0]), rest_op(rest_kind, f1[1], f2[1]))),
+    )
 
 
 def n_norm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
     """Neutrosophic conjunction: T by the recipe's T-norm, I and F by
     the dual T-conorm, endpointwise on intervals."""
-    norm, conorm = _recipe_pair(recipe)
-    (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
-    return NsTriple(
-        _crisp(_iv_op(tnorm, norm, t1, t2)),
-        _crisp(_iv_op(tconorm, conorm, i1, i2)),
-        _crisp(_iv_op(tconorm, conorm, f1, f2)),
-    )
+    norm, conorm = _lookup(_RECIPE_NORMS, recipe, "recipe")
+    return _n_op(tnorm, norm, tconorm, conorm, x, y)
 
 
 def n_conorm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
     """Neutrosophic disjunction: T by the dual T-conorm, I and F by the
     recipe's T-norm."""
-    norm, conorm = _recipe_pair(recipe)
-    (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
-    return NsTriple(
-        _crisp(_iv_op(tconorm, conorm, t1, t2)),
-        _crisp(_iv_op(tnorm, norm, i1, i2)),
-        _crisp(_iv_op(tnorm, norm, f1, f2)),
-    )
+    norm, conorm = _lookup(_RECIPE_NORMS, recipe, "recipe")
+    return _n_op(tconorm, conorm, tnorm, norm, x, y)
 
 
 def ns_and_interval(x: NsTriple, y: NsTriple) -> NsTriple:

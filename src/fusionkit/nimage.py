@@ -269,8 +269,7 @@ def gamma_median(ns: NsImage, gamma: float, s: int = 3) -> NsImage:
         return ns
     t_hat = np.where(mask, ndimage.median_filter(ns.t, size=s, mode="nearest"), ns.t)
     f_hat = np.where(mask, ndimage.median_filter(ns.f, size=s, mode="nearest"), ns.f)
-    tbar = ndimage.uniform_filter(t_hat, size=ns.w, mode="nearest")
-    i_hat, _, _ = _scale(np.abs(t_hat - tbar))
+    _, i_hat = _indeterminacy(t_hat, ns.w)
     return NsImage(t_hat, i_hat, f_hat, ns.w, ns.g_lo, ns.g_hi)
 
 

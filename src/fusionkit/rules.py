@@ -41,7 +41,7 @@ from enum import Enum
 from functools import partial, reduce
 
 from .algebra import EmptinessModel, Frame, World
-from .errors import BadGrouping, FrameMismatch, InputError, TotalConflict
+from .errors import BadGrouping, FrameMismatch, InputError, TotalConflict, enum_member
 from .mass import Bba
 
 _TOTAL_CONFLICT_TOL = 1e-12
@@ -300,13 +300,6 @@ def _rule(sources, model: EmptinessModel | None = None, how: str = "discard", *,
     return Bba._from_masses(frame, out), ledger
 
 
-def _rule_id(rule) -> RuleId:
-    try:
-        return RuleId(rule)
-    except ValueError:
-        raise InputError(f"unknown rule {rule!r}") from None
-
-
 # --- the rules ---------------------------------------------------------------
 
 
@@ -391,7 +384,7 @@ _DEMPSTER_RESCALE = (_TOTAL_CONFLICT_TOL, lambda ledger: TotalConflict(
 def combine(rule: RuleId | str, m1: Bba, m2: Bba,
             model: EmptinessModel | None = None) -> Bba:
     """Dispatch a two-source combination by rule id."""
-    rule = _rule_id(rule)
+    rule = enum_member(RuleId, rule, "rule")
     if rule is RuleId.MIXED:
         raise BadGrouping("the mixed rule needs a grouping tree; call mixed()")
     if rule not in _DISPOSALS:
@@ -403,7 +396,7 @@ def combine(rule: RuleId | str, m1: Bba, m2: Bba,
 def fuse_many(rule: RuleId | str, sources, model: EmptinessModel | None = None,
               grouping=None) -> Bba:
     """N-ary fusion: native for symmetric rules, left fold otherwise."""
-    rule = _rule_id(rule)
+    rule = enum_member(RuleId, rule, "rule")
     sources = list(sources)
     if rule is RuleId.MIXED:
         if grouping is None:

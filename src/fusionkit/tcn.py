@@ -28,6 +28,7 @@ from .errors import (
     TotalConflict,
     ZeroDenominator,
     ZeroTotalMass,
+    enum_member,
 )
 from .mass import Bba
 from .rules import _AND, _NEVER, _OR, _TOTAL_CONFLICT_TOL, _rule
@@ -51,6 +52,15 @@ DUAL_CONORM = {
     TNorm.PRODUCT: TConorm.PROB_SUM,
     TNorm.BOUNDED: TConorm.BOUNDED_SUM,
 }
+
+
+def _lookup(table: dict, key, what: str):
+    """``table[key]`` for a member key; anything else, its value included,
+    raises ``InputError("unknown <what> <key>")``."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown {what} {key!r}") from None
 
 
 def tnorm(kind: TNorm, a: float, b: float) -> float:
@@ -123,7 +133,8 @@ def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     whole assignment is rescaled to sum to one."""
     return _rule(
         (m1, m2), model, "ratio", value=_valuation(norm),
-        conorm=partial(tconorm, conorm or DUAL_CONORM[norm]), rescale=_unit_total(),
+        conorm=partial(tconorm, conorm or _lookup(DUAL_CONORM, norm, "T-norm")),
+        rescale=_unit_total(),
         on_zero=ZeroDenominator("conflicting pair with zero T-conorm value"))[0]
 
 
@@ -185,12 +196,10 @@ class UfrConfig:
     def from_json(cls, doc: dict) -> "UfrConfig":
         if not isinstance(doc, dict):
             raise SchemaError("/", "config must be an object")
-        try:
-            star = StarOp(doc.get("star", "conjunctive"))
-            combiner = TNorm(doc.get("combiner", "product"))
-            transfer = TransferPolicy(doc.get("transfer", "pair_proportional"))
-        except ValueError as exc:
-            raise SchemaError("/", str(exc)) from None
+        star = enum_member(StarOp, doc.get("star", "conjunctive"), "star", "/star")
+        combiner = enum_member(TNorm, doc.get("combiner", "product"), "combiner", "/combiner")
+        transfer = enum_member(TransferPolicy, doc.get("transfer", "pair_proportional"),
+                               "transfer", "/transfer")
         transferable = doc.get("transferable", "model_empty")
         if isinstance(transferable, list):
             if not all(isinstance(e, str) for e in transferable):
@@ -232,6 +241,9 @@ _TRANSFERS = {
     TransferPolicy.IGNORANCE: "ignorance",
 }
 
+#: Set operation of each star.
+_STARS = {StarOp.CONJUNCTIVE: _AND, StarOp.DISJUNCTIVE: _OR}
+
 
 def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
                 model: EmptinessModel | None = None) -> Bba:
@@ -257,8 +269,8 @@ def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
         raise InputError(f"unknown transferable spec {config.transferable!r}")
 
     return _rule(
-        (m1, m2), model, _TRANSFERS[config.transfer],
-        star=_AND if config.star is StarOp.CONJUNCTIVE else _OR,
+        (m1, m2), model, _lookup(_TRANSFERS, config.transfer, "transfer"),
+        star=_lookup(_STARS, config.star, "star"),
         marked=marked, value=_valuation(config.combiner),
         weights=(_weight(config.weight_1), _weight(config.weight_2)),
         rescale=_unit_total(config.normalize),

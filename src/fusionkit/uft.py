@@ -42,10 +42,11 @@ from .errors import (
     LengthMismatch,
     NoOtherHypotheses,
     SchemaError,
+    enum_member,
 )
 from .mass import Bba, _is_strings, discount, make_bba
-from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _dispose, _grouping,
-                    _mass_table, _source_masses, _split, _union_escalate, product_terms)
+from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _check_sources, _dispose,
+                    _grouping, _mass_table, _source_masses, _split, _union_escalate, product_terms)
 
 
 class Relationship(Enum):
@@ -168,12 +169,7 @@ class UftScenario:
     options: UftOptions = field(default_factory=UftOptions)
 
     def __post_init__(self):
-        if len(self.sources) < 2:
-            raise InputError("a scenario needs at least two sources")
-        frame = self.sources[0].frame
-        for s in self.sources:
-            if s.frame != frame:
-                raise FrameMismatch("sources disagree on the frame")
+        frame = _check_sources(self.sources)
         if self.model is not None and self.model.frame != frame:
             raise FrameMismatch("model belongs to a different frame")
         if self.reliability.kind is ReliabilityKind.DISCOUNTS:
@@ -597,10 +593,7 @@ def fusion_inputs_from_json(doc: dict):
     for key in ("frame", "sources"):
         if key not in doc:
             raise SchemaError(f"/{key}", "missing required field")
-    try:
-        world = World(doc.get("world", "closed"))
-    except ValueError:
-        raise SchemaError("/world", f"unknown world {doc.get('world')!r}") from None
+    world = enum_member(World, doc.get("world", "closed"), "world", "/world")
     if not _is_strings(doc["frame"]):
         raise SchemaError("/frame", "frame must be a list of labels")
     frame = Frame(tuple(doc["frame"]), world)
@@ -628,10 +621,8 @@ def scenario_from_json(doc: dict) -> UftScenario:
     rdoc = doc.get("reliability", {"kind": "all_reliable"})
     if not isinstance(rdoc, dict):
         raise SchemaError("/reliability", "reliability must be an object")
-    try:
-        kind = ReliabilityKind(rdoc.get("kind", "all_reliable"))
-    except ValueError:
-        raise SchemaError("/reliability/kind", f"unknown kind {rdoc.get('kind')!r}") from None
+    kind = enum_member(ReliabilityKind, rdoc.get("kind", "all_reliable"), "kind",
+                       "/reliability/kind")
     grouping = None
     if kind is ReliabilityKind.MIXED_GROUPING:
         grouping = _tree_from_json(rdoc.get("tree"), "/reliability/tree")

@@ -185,6 +185,12 @@ class TestUftCommand:
         result = uft_fuse(scenario_from_json(json.loads(path.read_text())))
         assert out == reference_uft_text(result)
 
+    def test_one_source_is_rejected_as_fuse_rejects_it(self, tmp_path):
+        path = scenario_file(tmp_path, lambda doc: doc.update(sources=doc["sources"][:1]))
+        code, out, err = run(["uft", path])
+        assert (code, out) == (1, "")
+        assert err == "error: need at least two sources\n"
+
     @pytest.mark.parametrize("reliability, pointer", [
         ("x", "/reliability"),
         ({"kind": "discounts"}, "/reliability/alphas"),

@@ -2,8 +2,9 @@
 
 Every fixture in ``tests/data`` goes through ``uft`` (text, json, csv),
 ``fuse`` (every rule, text and json), ``tcn`` (every variant under every
-T-norm) and ``ufr``.  Each run's exit code, stdout and stderr must equal
-the recorded run in ``golden/cli_runs.json``.
+T-norm) and ``ufr``; a fixed set of ``neutro eval`` expressions covers
+every recipe and the parser's errors.  Each run's exit code, stdout and
+stderr must equal the recorded run in ``golden/cli_runs.json``.
 
 To re-record after a deliberate output change, name the runs that move:
 
@@ -22,6 +23,7 @@ import sys
 import pytest
 
 from fusionkit.cli import main
+from fusionkit.neutro import NsRecipe
 from fusionkit.rules import RuleId
 from fusionkit.tcn import TNorm
 
@@ -29,6 +31,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_runs.json"
 
 TCN_VARIANTS = ("conjunctive", "dempster", "yager", "smets", "pcr5_original", "pcr5v2")
+
+_X, _Y = "(0.5,0.3,0.2)", "(0.4,0.6,0.1)"
+NEUTRO_EXPRS = (
+    *(f"{op}[{recipe.value}]({_X},{_Y})" for op in ("and", "or") for recipe in NsRecipe),
+    f"not({_X})",
+    f"or[product](and[min](not({_X}),{_Y}),and[bounded]((0.9,0.1,0.0),(0.7,0.2,0.4)))",
+    f"and[median]({_X},{_Y})",
+    f"{_X} extra",
+    "(0.5,abc,0.2)",
+    f"and[min]({_X}{_Y})",
+)
 
 
 def runs() -> list:
@@ -42,6 +55,7 @@ def runs() -> list:
         out += [["tcn", "--variant", variant, "--tnorm", norm.value, scenario]
                 for variant in TCN_VARIANTS for norm in TNorm]
         out.append(["ufr", scenario])
+    out += [["neutro", "eval", expr] for expr in NEUTRO_EXPRS]
     return out
 
 

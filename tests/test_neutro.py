@@ -48,6 +48,7 @@ from fusionkit.errors import (
     ZeroNorm,
 )
 from fusionkit.neutro import n_conorm, n_norm
+from fusionkit.tcn import TConorm, TNorm, tconorm, tnorm
 
 GRID = [round(0.05 * i, 2) for i in range(21)]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -240,6 +241,57 @@ class TestConnectives:
         assert either.intervals == (
             (0.3, 0.5), (0.1, 0.2), (0.1, 0.4)
         )
+
+
+#: The recipe table written out by hand: the oracle for the table that
+#: neutro derives from DUAL_CONORM.
+REFERENCE_PAIR = {
+    NsRecipe.MIN: (TNorm.MIN, TConorm.MAX),
+    NsRecipe.ALGEBRAIC_PRODUCT: (TNorm.PRODUCT, TConorm.PROB_SUM),
+    NsRecipe.BOUNDED: (TNorm.BOUNDED, TConorm.BOUNDED_SUM),
+}
+
+
+def reference_n_op(conjunction: bool, recipe, x, y):
+    """n_norm (``conjunction``) or n_conorm, each its own body over
+    REFERENCE_PAIR."""
+    norm, conorm = REFERENCE_PAIR[recipe]
+
+    def iv_op(fn, kind, a, b):
+        return (fn(kind, a[0], b[0]), fn(kind, a[1], b[1]))
+
+    (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
+    if conjunction:
+        parts = (iv_op(tnorm, norm, t1, t2), iv_op(tconorm, conorm, i1, i2),
+                 iv_op(tconorm, conorm, f1, f2))
+    else:
+        parts = (iv_op(tconorm, conorm, t1, t2), iv_op(tnorm, norm, i1, i2),
+                 iv_op(tnorm, norm, f1, f2))
+    return NsTriple(*(lo if lo == hi else (lo, hi) for lo, hi in parts))
+
+
+intervals = st.tuples(components, components).map(lambda iv: tuple(sorted(iv)))
+crisp_triples = st.builds(NsTriple, components, components, components)
+interval_triples = st.builds(NsTriple, *[st.one_of(components, intervals)] * 3)
+
+
+def outcome(call, *args):
+    """The result, or the error type and message: above 1 the
+    probabilistic sum falls as its operand rises, so an interval can
+    come out reversed and be rejected."""
+    try:
+        return call(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstTheReferenceTable:
+    @PROPERTY
+    @given(st.sampled_from(list(NsRecipe)), st.one_of(crisp_triples, interval_triples),
+           st.one_of(crisp_triples, interval_triples))
+    def test_n_norm_and_n_conorm_match_it_exactly(self, recipe, x, y):
+        assert outcome(n_norm, recipe, x, y) == outcome(reference_n_op, True, recipe, x, y)
+        assert outcome(n_conorm, recipe, x, y) == outcome(reference_n_op, False, recipe, x, y)
 
 
 class TestComplements:

@@ -407,3 +407,29 @@ class TestUfrConfigJson:
     def test_non_string_transferable_rejected(self, member):
         with pytest.raises(SchemaError, match="^/transferable: "):
             UfrConfig.from_json({"transferable": [member]})
+
+    @pytest.mark.parametrize("field, value", [
+        ("star", "xor"), ("combiner", "median"), ("transfer", "keep"),
+    ])
+    def test_bad_enum_names_its_field(self, field, value):
+        with pytest.raises(SchemaError) as info:
+            UfrConfig.from_json({field: value})
+        assert str(info.value) == f"/{field}: unknown {field} {value!r}"
+
+
+def _two_labels():
+    return make_bba(Frame(("A", "B")), {"A": 0.5, "B": 0.3, "A|B": 0.2})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b: tcn_conjunctive(b, b, norm="min"), "unknown T-norm 'min'"),
+    (lambda b: tcn_pcr5_original(b, b, norm="min"), "unknown T-norm 'min'"),
+    (lambda b: ufr_combine(b, b, UfrConfig(transfer="discard")), "unknown transfer 'discard'"),
+    (lambda b: ufr_combine(b, b, UfrConfig(star="conjunctive")), "unknown star 'conjunctive'"),
+], ids=["tcn_conjunctive", "tcn_pcr5_original", "ufr_transfer", "ufr_star"])
+def test_strict_enum_fields_reject_their_values(call, message):
+    """Direct calls take members only; a value is named in an InputError,
+    never leaked as a KeyError or read as another member."""
+    with pytest.raises(InputError) as info:
+        call(_two_labels())
+    assert str(info.value) == message
