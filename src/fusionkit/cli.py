@@ -148,7 +148,7 @@ def _cmd_fuse(args) -> int:
     if rule is RuleId.CONJUNCTIVE:
         result, ledger = conjunctive(*sources, model=model)
         _print_result(result, args.format)
-        if ledger.entries and args.format != "csv":
+        if args.format != "csv" and len(ledger):
             if args.format == "json":
                 print(json.dumps({"ledger": ledger.to_json()}, indent=2))
             else:
@@ -203,7 +203,7 @@ def _cmd_tcn(args) -> int:
     if args.variant == "conjunctive":
         result, ledger = tcn_conjunctive(m1, m2, norm=norm, model=model)
         _print_result(result, args.format)
-        if ledger.entries and args.format == "text":
+        if args.format == "text" and len(ledger):
             print(f"conflict mass: {ledger.total():.3f}")
         return 0
     if args.variant in ("dempster", "yager", "smets"):

@@ -130,20 +130,30 @@ _RECIPE_NORMS = {recipe: (TNorm(recipe.value), DUAL_CONORM[TNorm(recipe.value)])
                 for recipe in NsRecipe}
 
 
+def _box(op, kind, a: tuple[float, float], b: tuple[float, float]):
+    """``op(kind, ., .)`` over the box ``a`` x ``b``: its least and
+    greatest value, or the one value of a crisp pair.  Every T-norm and
+    T-conorm is monotone or bilinear on a box, so both extremes sit at
+    its four corners."""
+    (a0, a1), (b0, b1) = a, b
+    if a0 == a1 and b0 == b1:
+        return op(kind, a0, b0)
+    corners = (op(kind, a0, b0), op(kind, a0, b1), op(kind, a1, b0), op(kind, a1, b1))
+    return _crisp((min(corners), max(corners)))
+
+
 def _n_op(t_op, t_kind, rest_op, rest_kind, x: NsTriple, y: NsTriple) -> NsTriple:
     """T by ``t_op(t_kind, ...)``, I and F by ``rest_op(rest_kind, ...)``,
-    endpointwise on intervals."""
+    over the box of interval endpoints."""
     (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
-    return NsTriple(
-        _crisp((t_op(t_kind, t1[0], t2[0]), t_op(t_kind, t1[1], t2[1]))),
-        _crisp((rest_op(rest_kind, i1[0], i2[0]), rest_op(rest_kind, i1[1], i2[1]))),
-        _crisp((rest_op(rest_kind, f1[0], f2[0]), rest_op(rest_kind, f1[1], f2[1]))),
-    )
+    return NsTriple(_box(t_op, t_kind, t1, t2), _box(rest_op, rest_kind, i1, i2),
+                    _box(rest_op, rest_kind, f1, f2))
 
 
 def n_norm(recipe: NsRecipe, x: NsTriple, y: NsTriple) -> NsTriple:
     """Neutrosophic conjunction: T by the recipe's T-norm, I and F by
-    the dual T-conorm, endpointwise on intervals."""
+    the dual T-conorm; on intervals, the least and greatest value over
+    the endpoints."""
     norm, conorm = _lookup(_RECIPE_NORMS, recipe, "recipe")
     return _n_op(tnorm, norm, tconorm, conorm, x, y)
 

@@ -8,8 +8,22 @@ intersection, union, symmetric difference or a grouping tree; *mark*
 the results that may not keep mass, normally those the emptiness model
 forces empty; pool unmarked terms on their result sets and record
 marked ones in a :class:`ConflictLedger`; then *dispose* of the
-ledger's mass and optionally rescale.  Each named rule is one call of
-:func:`_rule`, the pipeline with its configuration:
+ledger's mass and optionally rescale.
+
+The first four steps run on whole NumPy grids, not term by term.  Each
+source is a column of focal-set bitmasks (uint64) and one of masses
+(float64) along its own axis, so the value and the star broadcast them
+to the grid of all F1 x ... x FN terms, whose C order is the order of
+:func:`itertools.product`; the mark is one boolean column over the
+results.  The kept mass of a set is the sum of its terms, added from
+0.0 in term order, which is how a loop over the terms adds them: every
+mass is bit-identical to that loop's, not merely close to it.  The
+ledger keeps the product column and builds its entries only when they
+are read.  A pooling of more than :data:`MAX_TERMS` terms is refused
+before any grid is allocated.
+
+Each named rule is one call of :func:`_rule`, the pipeline with its
+configuration:
 
 * conjunctive     -- intersection, model-empty marked, ledger returned;
 * disjunctive, exclusive disjunctive, mixed
@@ -39,6 +53,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
+
+import numpy as np
 
 from .algebra import EmptinessModel, Frame, World
 from .errors import BadGrouping, FrameMismatch, InputError, TotalConflict, enum_member
@@ -70,19 +86,56 @@ class LedgerEntry:
     product: float
 
 
-@dataclass(frozen=True)
 class ConflictLedger:
     """Audit trail of marked product terms.
 
     The ledger plus the surviving output always account for the full raw
-    combined mass, so any disposal policy can be replayed from it.
+    combined mass, so any disposal policy can be replayed from it.  A
+    ledger the engine pools builds its :attr:`entries` on first read;
+    its length and :meth:`total` come from the product column alone.
     """
 
-    frame: Frame
-    entries: tuple[LedgerEntry, ...]
+    __slots__ = ("frame", "_entries", "_products", "_build")
+
+    def __init__(self, frame: Frame, entries=()):
+        self.frame = frame
+        self._entries = tuple(entries)
+        self._products = None
+        self._build = None
+
+    @classmethod
+    def _lazy(cls, frame: Frame, products, build) -> "ConflictLedger":
+        """Ledger of the terms valued by the float array ``products``,
+        whose entries ``build()`` makes, in the same order."""
+        ledger = cls(frame)
+        ledger._entries, ledger._products, ledger._build = None, products, build
+        return ledger
+
+    @property
+    def entries(self) -> tuple[LedgerEntry, ...]:
+        if self._entries is None:
+            self._entries, self._build = self._build(), None
+        return self._entries
+
+    def __len__(self) -> int:
+        if self._products is not None:
+            return len(self._products)
+        return len(self._entries)
+
+    def __eq__(self, other):
+        return (isinstance(other, ConflictLedger) and self.frame == other.frame
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.frame, self.entries))
+
+    def __repr__(self):
+        return f"ConflictLedger(frame={self.frame!r}, entries={self.entries!r})"
 
     def total(self) -> float:
-        return math.fsum(e.product for e in self.entries)
+        if self._products is not None:
+            return math.fsum(self._products.tolist())
+        return math.fsum(e.product for e in self._entries)
 
     def to_json(self) -> list:
         name = self.frame.name_of
@@ -98,15 +151,26 @@ class ConflictLedger:
 
 # --- the engine --------------------------------------------------------------
 
-# Stars: a term's operand bitmasks -> its result set.  Operands are
-# subsets of the universe, so folding without a start value equals
-# folding from the identity (universe for "and", empty set otherwise).
+# Stars: a term's operand bitmasks -> its result set, on Python ints
+# or elementwise on uint64 grids.  Operands are subsets of the universe,
+# so folding without a start value equals folding from the identity
+# (universe for "and", empty set otherwise).
 _AND = partial(reduce, operator.and_)
 _OR = partial(reduce, operator.or_)
 _XOR = partial(reduce, operator.xor)
 
-#: Mark predicate that marks nothing.
-_NEVER = frozenset().__contains__
+#: Term value of the classical rules: the product of the masses, on
+#: floats or elementwise on float grids, multiplied left to right as
+#: :func:`math.prod` multiplies them.
+_PRODUCT = partial(reduce, operator.mul)
+
+#: Most product terms one pooling or UFT fusion expands.
+MAX_TERMS = 1 << 20
+
+
+def _NEVER(results):
+    """Mark predicate that marks nothing."""
+    return None
 
 
 def _check_sources(sources) -> Frame:
@@ -117,6 +181,14 @@ def _check_sources(sources) -> Frame:
         if s.frame != frame:
             raise FrameMismatch("sources disagree on the frame")
     return frame
+
+
+def _check_terms(sources) -> None:
+    """Raise ``InputError`` when the sources expand to more than
+    :data:`MAX_TERMS` product terms."""
+    n = math.prod(len(s.entries) for s in sources)
+    if n > MAX_TERMS:
+        raise InputError(f"{n} product terms exceed the limit of {MAX_TERMS}")
 
 
 def _grouping(tree, n: int, where: str = ""):
@@ -148,41 +220,74 @@ def _grouping(tree, n: int, where: str = ""):
 
 def _marks_empty(model: EmptinessModel):
     """Mark predicate for results the model forces empty."""
-    live = ~model.forced_empty_bits
-    return lambda bits: not bits & live
+    live = np.uint64(model.frame.universe_bits & ~model.forced_empty_bits)
+    return lambda results: (results & live) == 0
 
 
-def _expand(sources):
-    """(operand bitmasks, source masses) of every cross product of focal
-    sets, the two products walked in lockstep."""
-    items = [s.crisp_items() for s in sources]
-    return zip(itertools.product(*[[b for b, _ in it] for it in items]),
-               itertools.product(*[[v for _, v in it] for it in items]))
+def _marks_listed(listed):
+    """Mark predicate for the result sets in ``listed`` (bitmasks)."""
+    return partial(np.isin, test_elements=np.array(listed, np.uint64), kind="sort")
 
 
 def product_terms(sources):
     """All cross products of focal sets: (operand bitmasks, product mass)."""
-    for ops, vs in _expand(sources):
+    items = [s.crisp_items() for s in sources]
+    for ops, vs in zip(itertools.product(*[[b for b, _ in it] for it in items]),
+                       itertools.product(*[[v for _, v in it] for it in items])):
         p = math.prod(vs)
         if p != 0.0:
             yield ops, p
 
 
+def _sums(results: list, values: list) -> dict:
+    """Sum of the nonzero ``values`` by result set.  Each set's values
+    are added from 0.0 in input order, as a loop over the terms adds
+    them, so every sum is bit-identical to that loop's."""
+    kept: dict = {}
+    for bits, v in zip(results, values):
+        if v != 0.0:
+            kept[bits] = kept.get(bits, 0.0) + v
+    return kept
+
+
 def _pool(sources, star, marked, value):
     """Expand, star and mark every term: the kept mass by result set,
-    and the ledger of marked terms."""
-    kept: dict = {}
-    entries = []
-    for ops, vs in _expand(sources):
-        v = value(vs)
-        if v == 0.0:
-            continue
-        bits = star(ops)
-        if marked(bits):
-            entries.append(LedgerEntry(ops, bits, v))
-        else:
-            kept[bits] = kept.get(bits, 0.0) + v
-    return kept, ConflictLedger(sources[0].frame, tuple(entries))
+    and the ledger of marked terms.
+
+    Source k's focal sets and masses are uint64 and float64 columns
+    along axis k, so ``star`` and ``value`` broadcast them to the grid
+    of all terms, flattened in C order, the order of
+    :func:`itertools.product`.  ``marked`` maps the result column to a
+    boolean column, or to None when it marks nothing.  Terms valued 0.0
+    are dropped.
+    """
+    _check_terms(sources)
+    n = len(sources)
+    bits, values = [], []
+    for k, s in enumerate(sources):
+        items = s.crisp_items()
+        shape = (1,) * k + (len(items),) + (1,) * (n - k - 1)
+        bits.append(np.array([b for b, _ in items], np.uint64).reshape(shape))
+        values.append(np.array([v for _, v in items], np.float64).reshape(shape))
+    vals = value(values).ravel()
+    results = star(bits).ravel()
+    marks = marked(results)
+    frame = sources[0].frame
+    if marks is None:
+        return _sums(results.tolist(), vals.tolist()), ConflictLedger(frame)
+    free = ~marks
+    kept = _sums(results[free].tolist(), vals[free].tolist())
+    hit = (marks & (vals != 0.0)).nonzero()[0]
+    if not len(hit):
+        return kept, ConflictLedger(frame)
+    products = vals[hit]
+
+    def build():
+        ops = zip(*[col.ravel()[i].tolist() for col, i in
+                    zip(bits, np.unravel_index(hit, [c.size for c in bits]))])
+        return tuple(map(LedgerEntry, ops, results[hit].tolist(), products.tolist()))
+
+    return kept, ConflictLedger._lazy(frame, products, build)
 
 
 def _split(v: float, parts):
@@ -279,7 +384,7 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
 
 
 def _rule(sources, model: EmptinessModel | None = None, how: str = "discard", *,
-          star=_AND, marked=None, value=math.prod, weights=None, **dispose):
+          star=_AND, marked=None, value=_PRODUCT, weights=None, **dispose):
     """Run one configuration of the pipeline: ``(bba, ledger)``.
 
     Checks the sources, defaults ``model`` to the free one, pools the

@@ -16,9 +16,12 @@ routing policy (with per-side weights) for the marked mass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
+
+import numpy as np
 
 from .algebra import EmptinessModel
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     enum_member,
 )
 from .mass import Bba
-from .rules import _AND, _NEVER, _OR, _TOTAL_CONFLICT_TOL, _rule
+from .rules import _AND, _NEVER, _OR, _TOTAL_CONFLICT_TOL, _marks_listed, _rule
 
 
 class TNorm(Enum):
@@ -83,9 +86,18 @@ def tconorm(kind: TConorm, a: float, b: float) -> float:
     raise InputError(f"unknown T-conorm {kind!r}")
 
 
+#: Each T-norm elementwise on float arrays, as :func:`tnorm` on floats.
+_ARRAY_TNORMS = {
+    TNorm.MIN: np.minimum,
+    TNorm.PRODUCT: operator.mul,
+    TNorm.BOUNDED: lambda a, b: np.maximum(0.0, a + b - 1.0),
+}
+
+
 def _valuation(norm: TNorm):
-    """Term valuation for the engine: the T-norm folded over the masses."""
-    return partial(reduce, partial(tnorm, norm))
+    """Term valuation for the engine: the T-norm folded over the mass
+    columns."""
+    return partial(reduce, _lookup(_ARRAY_TNORMS, norm, "T-norm"))
 
 
 def tcn_conjunctive(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -259,8 +271,7 @@ def ufr_combine(m1: Bba, m2: Bba, config: UfrConfig,
     if isinstance(config.transferable, tuple):
         if not all(isinstance(e, str) for e in config.transferable):
             raise InputError("transferable sets must be set expressions")
-        listed = frozenset(m1.frame.atoms_of(e).bits for e in config.transferable)
-        marked = listed.__contains__
+        marked = _marks_listed([m1.frame.atoms_of(e).bits for e in config.transferable])
     elif config.transferable == "model_empty":
         marked = None
     elif config.transferable == "never":

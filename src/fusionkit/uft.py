@@ -45,8 +45,9 @@ from .errors import (
     enum_member,
 )
 from .mass import Bba, _is_strings, discount, make_bba
-from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _check_sources, _dispose,
-                    _grouping, _mass_table, _source_masses, _split, _union_escalate, product_terms)
+from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _check_sources, _check_terms,
+                    _dispose, _grouping, _mass_table, _source_masses, _split, _union_escalate,
+                    product_terms)
 
 
 class Relationship(Enum):
@@ -455,6 +456,7 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
     live = ~model.forced_empty_bits
     routes: dict = {}  # result -> (context, relationship), one per result
 
+    _check_terms(sources)
     for ops, p in product_terms(sources):
         result = star(ops)
         route = routes.get(result)
@@ -644,9 +646,10 @@ def scenario_from_json(doc: dict) -> UftScenario:
         ptr = f"/annotations/{i}"
         try:
             x, y = adoc["pair"]
-            rel = Relationship(adoc["rel"])
+            rel = adoc["rel"]
         except (KeyError, ValueError, TypeError) as exc:
             raise SchemaError(ptr, f"bad annotation: {exc}") from None
+        rel = enum_member(Relationship, rel, "relationship", f"{ptr}/rel")
         side = adoc.get("side")
         if not _is_strings([x, y] if side is None else [x, y, side]):
             raise SchemaError(ptr, "pair and side must be set expressions")

@@ -3,7 +3,10 @@
 Every fixture in ``tests/data`` goes through ``uft`` (text, json, csv),
 ``fuse`` (every rule, text and json), ``tcn`` (every variant under every
 T-norm) and ``ufr``; a fixed set of ``neutro eval`` expressions covers
-every recipe and the parser's errors.  Each run's exit code, stdout and
+every recipe and the parser's errors.  The 8-source, 4-focal-set
+scenario in ``tests/data/deep`` (65,536 product terms, under a model)
+goes through ``fuse`` under the four pooling rules, text and json.
+Each run's exit code, stdout and
 stderr must equal the recorded run in ``golden/cli_runs.json``.
 
 To re-record after a deliberate output change, name the runs that move:
@@ -43,6 +46,10 @@ NEUTRO_EXPRS = (
     f"and[min]({_X}{_Y})",
 )
 
+DEEP = "tests/data/deep/eight_sources.json"
+POOLING_RULES = (RuleId.CONJUNCTIVE, RuleId.DISJUNCTIVE,
+                 RuleId.EXCLUSIVE_DISJUNCTIVE, RuleId.MIXED)
+
 
 def runs() -> list:
     """Every pinned argv, fixture paths relative to the repository root."""
@@ -55,6 +62,8 @@ def runs() -> list:
         out += [["tcn", "--variant", variant, "--tnorm", norm.value, scenario]
                 for variant in TCN_VARIANTS for norm in TNorm]
         out.append(["ufr", scenario])
+    out += [["fuse", "--rule", rule.value, "--format", fmt, DEEP]
+            for rule in POOLING_RULES for fmt in ("text", "json")]
     out += [["neutro", "eval", expr] for expr in NEUTRO_EXPRS]
     return out
 

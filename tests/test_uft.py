@@ -51,7 +51,7 @@ from fusionkit import (
     uft_fuse,
     uft_fuse_dynamic,
 )
-from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses
+from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses, SchemaError
 
 
 def fuse_pair(frame, s1, s2, model, rel, side=None, options=None):
@@ -603,6 +603,15 @@ class TestJsonScenario:
         }
         assert len(doc["audit"]) == 9
         assert doc["deferred"] == []
+
+    @pytest.mark.parametrize("rel", ["xx", ["x"]])
+    def test_unknown_relationship_names_its_field(self, rel):
+        doc = json.loads(json.dumps(self.DOC))
+        doc["annotations"][0]["rel"] = rel
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert str(exc.value) == f"/annotations/0/rel: unknown relationship {rel!r}"
+        assert exc.value.pointer == "/annotations/0/rel"
 
     def test_grouping_tree_leaves_are_one_based_in_documents(self):
         doc = {
