@@ -16,11 +16,10 @@ the image.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import (
@@ -34,18 +33,30 @@ from .errors import (
 )
 
 
+def _check_int(value, what: str, error=BadParams) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+
+
 class GrayImage:
     """Rectangular grid of 8-bit intensities."""
 
     __slots__ = ("pixels",)
 
     def __init__(self, pixels):
-        arr = np.asarray(pixels)
+        try:
+            arr = np.asarray(pixels)
+        except ValueError:
+            raise BadDimensions("pixel rows must all have the same length") from None
         if arr.ndim != 2 or arr.size == 0:
             raise BadDimensions("pixels must form a non-empty 2-D grid")
         if arr.dtype != np.uint8:
+            if arr.dtype.kind not in "biuf":
+                raise BadDimensions(f"intensities must be real numbers, got {arr.dtype}")
             if not np.all((arr >= 0) & (arr <= 255)):
                 raise BadDimensions("intensities must lie in [0, 255]")
+            if arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr)):
+                raise BadDimensions("intensities must be whole numbers")
             arr = arr.astype(np.uint8)
         arr = arr.copy()
         arr.setflags(write=False)
@@ -64,9 +75,16 @@ class GrayImage:
 
     @classmethod
     def from_flat(cls, width: int, height: int, values) -> "GrayImage":
+        _check_int(width, "width", BadDimensions)
+        _check_int(height, "height", BadDimensions)
         if width <= 0 or height <= 0:
             raise BadDimensions(f"bad dimensions {width}x{height}")
-        data = np.asarray(list(values), dtype=np.int64)
+        try:
+            data = np.asarray(list(values))
+        except ValueError:
+            raise BadDimensions(
+                "pixel values must be a flat sequence of numbers"
+            ) from None
         if data.size != width * height:
             raise TruncatedData(
                 f"expected {width * height} pixels, got {data.size}"
@@ -186,24 +204,25 @@ class NsImage:
 
 
 def _check_window(size: int, shape, what: str = "window") -> None:
+    _check_int(size, f"{what} size", BadWindow)
     if size < 3 or size % 2 == 0:
         raise BadWindow(f"{what} size must be odd and >= 3, got {size}")
     if size > min(shape):
         raise BadWindow(f"{what} size {size} exceeds image dimensions")
 
 
-def _scale(plane):
-    """Min-max scale to [0,1]; a constant plane maps to 0."""
-    lo, hi = float(plane.min()), float(plane.max())
-    if hi == lo:
-        return np.zeros_like(plane), lo, hi
-    return (plane - lo) / (hi - lo), lo, hi
-
-
 def _indeterminacy(g: np.ndarray, w: int):
+    """Local mean and I plane: |g - local mean|, min-max scaled to
+    [0, 1] in place; a constant deviation maps to 0."""
     gbar = ndimage.uniform_filter(g, size=w, mode="nearest")
-    delta = np.abs(g - gbar)
-    i, _, _ = _scale(delta)
+    i = np.subtract(g, gbar)
+    np.abs(i, out=i)
+    lo, hi = float(i.min()), float(i.max())
+    if hi == lo:
+        i.fill(0.0)
+    else:
+        i -= lo
+        i /= hi - lo
     return gbar, i
 
 
@@ -229,26 +248,75 @@ def ns_to_gray(ns: NsImage) -> GrayImage:
     return GrayImage(np.clip(np.rint(g), 0, 255).astype(np.uint8))
 
 
+def _check_bins(bins) -> None:
+    _check_int(bins, "bins")
+    if bins < 2:
+        raise BadParams(f"bins must be >= 2, got {bins}")
+
+
+@functools.lru_cache(maxsize=16)
+def _bin_edges(bins: int) -> np.ndarray:
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges.setflags(write=False)
+    return edges
+
+
+def _bin_index(x: np.ndarray, bins: int) -> np.ndarray:
+    """Bin of each value of ``x`` in [0, 1] among ``bins`` equal bins,
+    by ``np.histogram``'s own rule over that range, including its
+    one-ulp corrections against the bin edges."""
+    edges = _bin_edges(bins)
+    k = (x * bins).astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    k -= x < edges.take(k)
+    k += (x >= edges.take(k + 1)) & (k != bins - 1)
+    return k
+
+
+def _entropy(counts: np.ndarray, total) -> float:
+    """Shannon entropy (nats) of a histogram holding ``total`` pixels."""
+    p = counts[counts > 0] / total
+    return float(-np.sum(p * np.log(p))) + 0.0
+
+
 def _plane_entropy(plane: np.ndarray, bins: int, weights=None) -> float:
     """Histogram entropy; ``weights[k]`` pixels share the value ``plane[k]``.
 
-    Values in [0, 1] are binned by ``np.histogram``'s own rule over that
-    range, including its one-ulp corrections against the bin edges.
+    ``fit_abc`` bins many planes in one call of :func:`_row_histograms`,
+    whose counts equal this function's; only its bulk sums of
+    :func:`_row_entropies` differ from :func:`_entropy`, by a few ulp.
     """
-    x = plane.ravel()
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    k = np.minimum((x * bins).astype(np.intp), bins - 1)
-    k -= x < edges[k]
-    k += (x >= edges[k + 1]) & (k != bins - 1)
-    counts = np.bincount(k, weights=weights, minlength=bins)
-    p = counts[counts > 0] / (plane.size if weights is None else weights.sum())
-    return float(-np.sum(p * np.log(p))) + 0.0
+    counts = np.bincount(_bin_index(plane.ravel(), bins), weights=weights,
+                         minlength=bins)
+    return _entropy(counts, plane.size if weights is None else weights.sum())
+
+
+def _row_histograms(planes: np.ndarray, bins: int, weights: np.ndarray) -> np.ndarray:
+    """The histogram of every row of ``planes``, all rows sharing
+    ``weights``, from one ``bincount`` over ``row * bins + bin``.  That
+    adds each bin's weights in the row's own order, so every row's
+    counts equal those :func:`_plane_entropy` builds for the row alone."""
+    rows = planes.shape[0]
+    k = _bin_index(planes, bins)
+    k += np.arange(0, rows * bins, bins)[:, None]
+    return np.bincount(k.ravel(), weights=np.tile(weights, rows),
+                       minlength=rows * bins).reshape(rows, bins)
+
+
+def _row_entropies(counts: np.ndarray, total) -> np.ndarray:
+    """:func:`_entropy` of every row of ``counts`` at once.  The sums
+    also take in the zeros of empty bins and group the terms otherwise,
+    so they may differ from :func:`_entropy`'s by a few ulp; all terms
+    are non-negative, so nothing cancels."""
+    p = counts / total
+    plogp = np.log(p, out=np.zeros_like(p), where=counts > 0)
+    plogp *= p
+    return -plogp.sum(axis=1)
 
 
 def ns_entropy(ns: NsImage, bins: int = 64):
     """Per-plane Shannon entropies (nats) and their sum."""
-    if bins < 2:
-        raise BadParams(f"bins must be >= 2, got {bins}")
+    _check_bins(bins)
     en_t = _plane_entropy(ns.t, bins)
     en_i = _plane_entropy(ns.i, bins)
     en_f = _plane_entropy(ns.f, bins)
@@ -297,22 +365,35 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
         raise OutOfRange(f"gamma must be >= 0, got {gamma}")
     if not delta >= 0.0:
         raise BadParams(f"delta must be >= 0, got {delta}")
+    _check_int(max_iters, "max_iters")
     if max_iters < 1:
         raise BadParams(f"max_iters must be >= 1, got {max_iters}")
     _check_window(w, img.pixels.shape)
     _check_window(s, img.pixels.shape, "median")
 
     u = img.pixels.copy()
+    r = s // 2
+    # Window cell (dy, dx) of pixel (y, x) lies at (y + dy, x + dx) of
+    # the edge-padded image: flat offset dy * padded width + dx from the
+    # pixel's window corner, which is y * padded width + x.
+    padded_w = u.shape[1] + 2 * r
+    offsets = (np.arange(s)[:, None] * padded_w + np.arange(s)).ravel()
     _, i = _indeterminacy(u.astype(np.float64), w)
     en_prev = _plane_entropy(i, 64)
     trace = [en_prev]
     done = 0
     for _ in range(max_iters):
-        ys, xs = np.nonzero(i >= gamma)
-        if ys.size:
-            windows = sliding_window_view(np.pad(u, s // 2, mode="edge"), (s, s))
-            u[ys, xs] = np.partition(windows[ys, xs].reshape(ys.size, s * s),
-                                     s * s // 2, axis=1)[:, s * s // 2]
+        flagged = np.flatnonzero(i >= gamma)
+        if flagged.size:
+            padded = np.pad(u, r, mode="edge").ravel()
+            corner = flagged + flagged // u.shape[1] * (2 * r)
+            windows = np.empty((flagged.size, s * s), dtype=np.uint8)
+            # One column at a time: an (n, s*s) index array would
+            # outweigh the 8-bit windows it gathers.
+            for col, offset in enumerate(offsets):
+                padded.take(corner + offset, out=windows[:, col])
+            u.ravel()[flagged] = np.partition(windows, s * s // 2,
+                                              axis=1)[:, s * s // 2]
         done += 1
         _, i = _indeterminacy(u.astype(np.float64), w)
         en = _plane_entropy(i, 64)
@@ -350,12 +431,15 @@ class SFunctionParams:
 def s_function(g, params: SFunctionParams):
     """S-shaped intensity-to-truth map: 0 below a, 1 above c, and two
     parabolic arcs joining continuously at b."""
-    a, b, c = params.a, params.b, params.c
-    g = np.asarray(g, dtype=np.float64)
+    t = _s_curve(np.asarray(g, dtype=np.float64), params.a, params.b, params.c)
+    return t if t.ndim else float(t)
+
+
+def _s_curve(g: np.ndarray, a, b, c) -> np.ndarray:
+    """The S-function's arithmetic; knots broadcast against ``g``."""
     low = (g - a) ** 2 / ((b - a) * (c - a))
     high = 1.0 - (g - c) ** 2 / ((c - b) * (c - a))
-    t = np.where(g <= a, 0.0, np.where(g <= b, low, np.where(g <= c, high, 1.0)))
-    return t if t.ndim else float(t)
+    return np.where(g <= a, 0.0, np.where(g <= b, low, np.where(g <= c, high, 1.0)))
 
 
 def sfunction_ns(img: GrayImage, params: SFunctionParams, w: int = 3) -> NsImage:
@@ -372,14 +456,22 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     """Choose S-function knots by maximum entropy.
 
     a and c are the lowest and highest occupied intensities; b sweeps
-    every intensity strictly between them and keeps the one whose
+    every intensity strictly between them and keeps the first one whose
     resulting planes have the largest total entropy.  T depends on the
     gray level alone, so the planes are histogrammed over the 256 levels.
     The I plane does not depend on b, so its entropy is left out.
+
+    All candidates are scored at once, one row of T per b, and their
+    histograms are exact (see :func:`_row_histograms`); only the bulk
+    sums of :func:`_row_entropies` may differ from the exact scores of
+    :func:`_entropy`, by a few ulp, far inside a relative 1e-12.  So the
+    best candidate always lies within 1e-12 of the bulk maximum, and
+    only the rows in that band are re-scored exactly, in order, keeping
+    the first strict maximum as a candidate-by-candidate loop does.
+    When every score ties (two-level images), every row is re-scored.
     """
     _check_window(w, img.pixels.shape)
-    if bins < 2:
-        raise BadParams(f"bins must be >= 2, got {bins}")
+    _check_bins(bins)
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     occupied = np.nonzero(hist)[0]
     if occupied.size < 2:
@@ -387,14 +479,17 @@ def fit_abc(img: GrayImage, w: int = 3, bins: int = 64) -> SFunctionParams:
     a, c = int(occupied[0]), int(occupied[-1])
     if c - a < 2:
         raise DegenerateHistogram("no intensity strictly between a and c")
-    levels = np.arange(256.0)
-    best_b, best_en = None, -1.0
-    for b in range(a + 1, c):
-        t = s_function(levels, SFunctionParams(a, b, c))
-        en = _plane_entropy(t, bins, hist) + _plane_entropy(1.0 - t, bins, hist)
+    n = hist.sum()
+    t = _s_curve(np.arange(256.0), a, np.arange(a + 1, c)[:, None], c)
+    counts_t = _row_histograms(t, bins, hist)
+    counts_f = _row_histograms(1.0 - t, bins, hist)
+    scores = _row_entropies(counts_t, n) + _row_entropies(counts_f, n)
+    best_row, best_en = None, -1.0
+    for row in np.flatnonzero(scores >= scores.max() * (1.0 - 1e-12)):
+        en = _entropy(counts_t[row], n) + _entropy(counts_f[row], n)
         if en > best_en:
-            best_b, best_en = b, en
-    return SFunctionParams(float(a), float(best_b), float(c))
+            best_row, best_en = row, en
+    return SFunctionParams(float(a), float(a + 1 + best_row), float(c))
 
 
 # --- watershed-style region growing -------------------------------------------

@@ -1,6 +1,7 @@
 """Shared builders for recurring fusion scenarios and synthetic images."""
 
 import numpy as np
+import pytest
 
 from fusionkit import (
     Annotation,
@@ -12,6 +13,19 @@ from fusionkit import (
     UftScenario,
     make_bba,
 )
+
+
+def pytest_collection_modifyitems(items):
+    """Let a failing Hypothesis test print its falsifying example under
+    ``-W error``.  To report one, the Hypothesis plugin imports libcst,
+    whose import raises this DeprecationWarning from mypy_extensions;
+    as an error it ends the run in INTERNALERROR and drops the report.
+    A ``filterwarnings`` line in pyproject.toml would not do: pytest
+    ranks the command line's ``-W`` above it, and a marker above both."""
+    ignore = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    for item in items:
+        item.add_marker(ignore)
 
 
 def two_label_sources(frame=None):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from conftest import flat_with_squares, salt_pepper
@@ -34,7 +36,7 @@ from fusionkit.errors import (
     OutOfRange,
     TruncatedData,
 )
-from fusionkit.nimage import _plane_entropy
+from fusionkit.nimage import _plane_entropy, _row_entropies, _row_histograms
 
 
 def checkerboard(size=8, lo=40, hi=200):
@@ -70,6 +72,44 @@ class TestGrayImage:
     def test_nan_intensity_rejected(self):
         with pytest.raises(BadDimensions):
             GrayImage([[1.0, math.nan]])
+
+    def test_non_numeric_pixels_rejected(self):
+        with pytest.raises(BadDimensions, match="real numbers"):
+            GrayImage([["a", "b"]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(BadDimensions, match="same length"):
+            GrayImage([[1, 2], [3]])
+
+    def test_complex_pixels_rejected(self):
+        with pytest.raises(BadDimensions, match="real numbers"):
+            GrayImage([[1j]])
+
+    def test_fractional_pixels_rejected(self):
+        with pytest.raises(BadDimensions, match="whole numbers"):
+            GrayImage([[3.7]])
+        assert GrayImage([[3.0]]).pixels.tolist() == [[3]]
+
+    def test_from_flat_non_numeric_rejected(self):
+        with pytest.raises(BadDimensions, match="real numbers"):
+            GrayImage.from_flat(2, 1, ["a", "b"])
+        with pytest.raises(BadDimensions, match="flat sequence"):
+            GrayImage.from_flat(2, 1, [[1, 2], [3]])
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: GrayImage.from_flat(2.0, 1, [1, 2]), BadDimensions),
+        (lambda: GrayImage.from_flat(2, "1", [1, 2]), BadDimensions),
+        (lambda: fit_abc(flat_with_squares(), bins=64.0), BadParams),
+        (lambda: ns_entropy(to_ns(checkerboard()), bins="64"), BadParams),
+        (lambda: denoise(checkerboard(), gamma=0.4, delta=0.01, max_iters=2.5),
+         BadParams),
+        (lambda: denoise(checkerboard(), gamma=0.4, delta=0.01, s=3.0), BadWindow),
+        (lambda: to_ns(checkerboard(), w=True), BadWindow),
+    ], ids=["width", "height", "fit_abc-bins", "ns_entropy-bins", "max_iters",
+            "median-size", "window-size"])
+    def test_non_int_sizes_rejected(self, call, error):
+        with pytest.raises(error, match="must be an integer"):
+            call()
 
     def test_immutable(self):
         img = checkerboard()
@@ -425,17 +465,20 @@ def reference_entropy(plane, bins, weights=None):
 
 
 def reference_fit_abc(img, w=3, bins=64):
-    """The S-function on every pixel for every candidate b."""
+    """The S-function on every pixel for every candidate b.
+
+    The I plane's entropy is the same for every b, so it is left out:
+    added to every score, its rounding can merge two scores one ulp
+    apart into a tie and move the first maximum (an 8x11 image with
+    b = 223 and 224 showed it)."""
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     occupied = np.nonzero(hist)[0]
     a, c = int(occupied[0]), int(occupied[-1])
     g = img.pixels.astype(np.float64)
-    i_plane = to_ns(img, w).i
     best_b, best_en = None, -1.0
     for b in range(a + 1, c):
         t = s_function(g, SFunctionParams(a, b, c))
         en = reference_entropy(t, bins) + reference_entropy(1.0 - t, bins)
-        en += reference_entropy(i_plane, bins)
         if en > best_en:
             best_b, best_en = b, en
     return SFunctionParams(float(a), float(best_b), float(c))
@@ -557,6 +600,23 @@ class TestAgainstReferences:
         assert res.iterations == iterations
         assert res.entropy_trace == trace
 
+    @pytest.mark.parametrize("gamma", (0.0, 0.15))
+    @pytest.mark.parametrize("shape", ((7, 12), (12, 7), (9, None)),
+                             ids=("wide", "tall", "s-wide"))
+    @pytest.mark.parametrize("s", (3, 5, 7))
+    def test_denoise_impulses_on_every_border(self, s, shape, gamma):
+        """Flagged pixels at every corner and mid-edge gather windows
+        that run off the image on one or two sides."""
+        height, width = shape[0], shape[1] or s
+        rng = np.random.default_rng(s * 100 + height)
+        px = rng.integers(60, 190, (height, width))
+        ys = [0, 0, -1, -1, 0, -1, height // 2, height // 2]
+        xs = [0, -1, 0, -1, width // 2, width // 2, 0, -1]
+        px[ys, xs] = [0, 255, 255, 0, 255, 0, 255, 0]
+        img = GrayImage(px.astype(np.uint8))
+        assert (to_ns(img).i[ys, xs] >= gamma).all()
+        self.assert_denoise_matches(img, gamma=gamma, delta=0.01, s=s)
+
     @pytest.mark.parametrize("setting", range(len(DENOISE_SETTINGS)))
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", KINDS)
@@ -594,3 +654,49 @@ class TestAgainstReferences:
             weights = np.append(multiplicity, 1)
             assert (_plane_entropy(plane, bins, weights)
                     == reference_entropy(plane, bins, weights))
+
+
+BINS = (2, 3, 7, 32, 64, 256)
+
+
+@st.composite
+def knot_images(draw):
+    """Images on two to four gray levels, where many or all candidate
+    knots tie, and images spread over a random range of levels."""
+    height, width = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 255), min_size=2, max_size=4,
+                               unique=True).filter(lambda v: max(v) - min(v) >= 2))
+        values = st.sampled_from(levels)
+    else:
+        lo = draw(st.integers(0, 253))
+        levels = [lo, draw(st.integers(lo + 2, 255))]
+        values = st.integers(levels[0], levels[1])
+    px = draw(st.lists(values, min_size=height * width, max_size=height * width))
+    px[:2] = min(levels), max(levels)
+    return GrayImage(np.array(px, dtype=np.uint8).reshape(height, width))
+
+
+class TestBulkKnotFit:
+    @settings(max_examples=120, deadline=None)
+    @given(knot_images(), st.sampled_from(BINS), st.sampled_from((3, 5)))
+    def test_fit_abc_matches_the_reference(self, img, bins, w):
+        assert fit_abc(img, w, bins) == reference_fit_abc(img, w, bins)
+
+    @settings(max_examples=120, deadline=None)
+    @given(knot_images(), st.sampled_from(BINS))
+    def test_bulk_scores_track_the_exact_scores(self, img, bins):
+        """fit_abc re-scores every candidate within 1e-12 of the bulk
+        maximum, so the bulk scores must hold well inside that."""
+        hist = np.bincount(img.pixels.ravel(), minlength=256)
+        occupied = np.flatnonzero(hist)
+        a, c = int(occupied[0]), int(occupied[-1])
+        levels = np.arange(256.0)
+        t = np.array([s_function(levels, SFunctionParams(a, b, c))
+                      for b in range(a + 1, c)])
+        n = hist.sum()
+        bulk = (_row_entropies(_row_histograms(t, bins, hist), n)
+                + _row_entropies(_row_histograms(1.0 - t, bins, hist), n))
+        exact = [_plane_entropy(row, bins, hist) + _plane_entropy(1.0 - row, bins, hist)
+                 for row in t]
+        np.testing.assert_allclose(bulk, exact, rtol=1e-13, atol=0.0)
