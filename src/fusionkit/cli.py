@@ -53,6 +53,7 @@ from .tcn import (
     ufr_combine,
 )
 from .uft import (
+    _audit_rows,
     _NameMemo,
     _tree_from_json,
     fusion_inputs_from_json,
@@ -184,11 +185,11 @@ def _cmd_uft(args) -> int:
         print(emit_table(b, "text", namer))
     name = _NameMemo(result.m_uft.frame.name_of)
     lines = ["transfers:"]
-    for rec in result.audit:
-        ops = " , ".join([name[b] for b in rec.operands])
-        targets = ", ".join([f"{name[b]}: {v:.3f}" for b, v in rec.targets])
-        rel = rec.relationship.value if rec.relationship else "kept"
-        lines.append(f"  ({ops}) {rec.mass:.3f} [{rel}] -> {targets}")
+    for operands, _, mass, rel, targets in _audit_rows(result.audit):
+        ops = " , ".join([name[b] for b in operands])
+        targets = ", ".join([f"{name[b]}: {v:.3f}" for b, v in targets])
+        rel = rel.value if rel else "kept"
+        lines.append(f"  ({ops}) {mass:.3f} [{rel}] -> {targets}")
     print("\n".join(lines))
     return 0
 

@@ -14,13 +14,18 @@ The first four steps run on whole NumPy grids, not term by term.  Each
 source is a column of focal-set bitmasks (uint64) and one of masses
 (float64) along its own axis, so the value and the star broadcast them
 to the grid of all F1 x ... x FN terms, whose C order is the order of
-:func:`itertools.product`; the mark is one boolean column over the
-results.  The kept mass of a set is the sum of its terms, added from
-0.0 in term order, which is how a loop over the terms adds them: every
-mass is bit-identical to that loop's, not merely close to it.  The
-ledger keeps the product column and builds its entries only when they
-are read.  A pooling of more than :data:`MAX_TERMS` terms is refused
-before any grid is allocated.
+:func:`itertools.product`.  :func:`_terms` builds that grid once into
+the *term table*: the terms valued nonzero with their results and
+values as columns.  It is the only owner of term order: pooling,
+:func:`product_terms` and :mod:`fusionkit.uft` all read it.  The mark
+is one boolean column over the results.  The kept mass of a set is the
+sum of its terms, added from 0.0 in term order, which is how a loop
+over the terms adds them: every mass is bit-identical to that loop's,
+not merely close to it.  The ledger keeps its rows of the table and
+builds its entries only when they are read; the disposals read its
+columns, splitting every entry at once as :func:`_split` splits one.
+A table of more than :data:`MAX_TERMS` terms is refused before any
+grid is allocated.
 
 Each named rule is one call of :func:`_rule`, the pipeline with its
 configuration:
@@ -40,9 +45,10 @@ configuration:
                      proportion to those operands' own masses.
 
 :mod:`fusionkit.tcn` configures the same engine for the T-norm rules
-and the master formula; :mod:`fusionkit.uft` expands and stars terms
-here, routes each one itself, and takes its four pessimism brackets as
-the ignorance, empty, union and split disposals of one ledger.
+and the master formula; :mod:`fusionkit.uft` routes the columns of a
+term table by what is known about each result, and takes its four
+pessimism brackets as the ignorance, empty, union and split disposals
+of one ledger over the same table.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,35 +98,49 @@ class ConflictLedger:
 
     The ledger plus the surviving output always account for the full raw
     combined mass, so any disposal policy can be replayed from it.  A
-    ledger the engine pools builds its :attr:`entries` on first read;
-    its length and :meth:`total` come from the product column alone.
+    ledger the engine pools is a set of rows of a term table: it builds
+    its :attr:`entries` on first read, and its length, :meth:`total`
+    and the disposals read the table's columns.
     """
 
-    __slots__ = ("frame", "_entries", "_products", "_build")
+    __slots__ = ("frame", "_entries", "_terms", "_rows")
 
     def __init__(self, frame: Frame, entries=()):
         self.frame = frame
         self._entries = tuple(entries)
-        self._products = None
-        self._build = None
+        self._terms = self._rows = None
 
     @classmethod
-    def _lazy(cls, frame: Frame, products, build) -> "ConflictLedger":
-        """Ledger of the terms valued by the float array ``products``,
-        whose entries ``build()`` makes, in the same order."""
+    def _lazy(cls, frame: Frame, terms: "_Terms", rows) -> "ConflictLedger":
+        """Ledger of the terms at the positions ``rows`` (ascending) of
+        the term table ``terms``."""
         ledger = cls(frame)
-        ledger._entries, ledger._products, ledger._build = None, products, build
+        ledger._entries, ledger._terms, ledger._rows = None, terms, rows
         return ledger
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
         if self._entries is None:
-            self._entries, self._build = self._build(), None
+            ops = zip(*[c.tolist() for c in self._operands()])
+            results = self._terms.results[self._rows].tolist()
+            self._entries = tuple(map(LedgerEntry, ops, results,
+                                      self._products().tolist()))
         return self._entries
 
+    def _operands(self) -> list:
+        """Source k's operand of every entry, one uint64 column per source."""
+        return self._terms.columns(self._terms.bits, self._rows)
+
+    def _masses(self) -> list:
+        """Each entry's operand masses, one float64 column per source."""
+        return self._terms.columns(self._terms.masses, self._rows)
+
+    def _products(self):
+        return self._terms.values[self._rows]
+
     def __len__(self) -> int:
-        if self._products is not None:
-            return len(self._products)
+        if self._terms is not None:
+            return len(self._rows)
         return len(self._entries)
 
     def __eq__(self, other):
@@ -133,8 +154,8 @@ class ConflictLedger:
         return f"ConflictLedger(frame={self.frame!r}, entries={self.entries!r})"
 
     def total(self) -> float:
-        if self._products is not None:
-            return math.fsum(self._products.tolist())
+        if self._terms is not None:
+            return math.fsum(self._products().tolist())
         return math.fsum(e.product for e in self._entries)
 
     def to_json(self) -> list:
@@ -229,65 +250,84 @@ def _marks_listed(listed):
     return partial(np.isin, test_elements=np.array(listed, np.uint64), kind="sort")
 
 
+class _Terms(NamedTuple):
+    """The term table: every product term valued nonzero, in the order
+    of :func:`itertools.product`.
+
+    ``bits[k]`` and ``masses[k]`` are source k's focal sets and masses,
+    uint64 and float64 columns along axis k of the F1 x ... x FN grid;
+    ``index`` is each term's flat position in that grid, and
+    ``results`` and ``values`` are its result set and value.
+    """
+
+    bits: list
+    masses: list
+    index: np.ndarray
+    results: np.ndarray
+    values: np.ndarray
+
+    def columns(self, axes: list, rows=slice(None)) -> list:
+        """Source k's entry of ``axes[k]`` (``bits`` or ``masses``) for
+        each term at the positions ``rows``: one column per source."""
+        at = np.unravel_index(self.index[rows], [c.size for c in axes])
+        return [c.ravel()[i] for c, i in zip(axes, at)]
+
+
+def _terms(sources, star, value) -> _Terms:
+    """The term table of ``sources``: ``star`` and ``value`` broadcast
+    the per-source columns to the grid of all terms, flattened in C
+    order, and the terms valued 0.0 are dropped."""
+    _check_terms(sources)
+    n = len(sources)
+    bits, masses = [], []
+    for k, s in enumerate(sources):
+        items = s.crisp_items()
+        shape = (1,) * k + (len(items),) + (1,) * (n - k - 1)
+        bits.append(np.array([b for b, _ in items], np.uint64).reshape(shape))
+        masses.append(np.array([v for _, v in items], np.float64).reshape(shape))
+    values = value(masses).ravel()
+    index = values.nonzero()[0]
+    return _Terms(bits, masses, index, star(bits).ravel()[index], values[index])
+
+
 def product_terms(sources):
-    """All cross products of focal sets: (operand bitmasks, product mass)."""
-    items = [s.crisp_items() for s in sources]
-    for ops, vs in zip(itertools.product(*[[b for b, _ in it] for it in items]),
-                       itertools.product(*[[v for _, v in it] for it in items])):
-        p = math.prod(vs)
-        if p != 0.0:
-            yield ops, p
+    """All cross products of focal sets valued nonzero: (operand
+    bitmasks, product mass), in the order of :func:`itertools.product`.
+    Like every expansion, refuses more than :data:`MAX_TERMS` terms."""
+    terms = _terms(sources, _AND, _PRODUCT)
+    ops = zip(*[c.tolist() for c in terms.columns(terms.bits)])
+    yield from zip(ops, terms.values.tolist())
 
 
-def _sums(results: list, values: list) -> dict:
-    """Sum of the nonzero ``values`` by result set.  Each set's values
-    are added from 0.0 in input order, as a loop over the terms adds
-    them, so every sum is bit-identical to that loop's."""
-    kept: dict = {}
-    for bits, v in zip(results, values):
-        if v != 0.0:
-            kept[bits] = kept.get(bits, 0.0) + v
-    return kept
+def _sums(keys: list, values: list, acc=None) -> dict:
+    """``acc`` (default: a new dict) plus the ``values`` summed by key.
+    Each key's values are added from 0.0 in input order, as a loop over
+    the terms adds them, so every sum is bit-identical to that loop's."""
+    acc = {} if acc is None else acc
+    for bits, v in zip(keys, values):
+        acc[bits] = acc.get(bits, 0.0) + v
+    return acc
 
 
 def _pool(sources, star, marked, value):
     """Expand, star and mark every term: the kept mass by result set,
     and the ledger of marked terms.
 
-    Source k's focal sets and masses are uint64 and float64 columns
-    along axis k, so ``star`` and ``value`` broadcast them to the grid
-    of all terms, flattened in C order, the order of
-    :func:`itertools.product`.  ``marked`` maps the result column to a
-    boolean column, or to None when it marks nothing.  Terms valued 0.0
-    are dropped.
+    ``marked`` maps the term table's result column to a boolean column,
+    or to None when it marks nothing.
     """
-    _check_terms(sources)
-    n = len(sources)
-    bits, values = [], []
-    for k, s in enumerate(sources):
-        items = s.crisp_items()
-        shape = (1,) * k + (len(items),) + (1,) * (n - k - 1)
-        bits.append(np.array([b for b, _ in items], np.uint64).reshape(shape))
-        values.append(np.array([v for _, v in items], np.float64).reshape(shape))
-    vals = value(values).ravel()
-    results = star(bits).ravel()
+    terms = _terms(sources, star, value)
+    results, values = terms.results, terms.values
     marks = marked(results)
     frame = sources[0].frame
     if marks is None:
-        return _sums(results.tolist(), vals.tolist()), ConflictLedger(frame)
+        return _sums(results.tolist(), values.tolist()), ConflictLedger(frame)
     free = ~marks
-    kept = _sums(results[free].tolist(), vals[free].tolist())
-    hit = (marks & (vals != 0.0)).nonzero()[0]
+    kept = _sums(results[free].tolist(), values[free].tolist())
+    hit = marks.nonzero()[0]
     if not len(hit):
         return kept, ConflictLedger(frame)
-    products = vals[hit]
-
-    def build():
-        ops = zip(*[col.ravel()[i].tolist() for col, i in
-                    zip(bits, np.unravel_index(hit, [c.size for c in bits]))])
-        return tuple(map(LedgerEntry, ops, results[hit].tolist(), products.tolist()))
-
-    return kept, ConflictLedger._lazy(frame, products, build)
+    return kept, ConflictLedger._lazy(frame, terms, hit)
 
 
 def _split(v: float, parts):
@@ -297,21 +337,53 @@ def _split(v: float, parts):
     the largest.  The last target takes the remainder, so the k shares
     sum to ``v`` within (k-1) ulp(v): one rounding per remainder step.
     """
-    try:
-        den = math.fsum(w for _, w in parts)
-    except OverflowError:
-        top = max(w for _, w in parts)
-        parts = [(target, w / top) for target, w in parts]
-        den = math.fsum(w for _, w in parts)
+    targets = [target for target, _ in parts]
+    ws, den = _weights_sum([w for _, w in parts])
     if den == 0.0:
         return None
-    last = len(parts) - 1
+    last = len(targets) - 1
     out, left = [], v
-    for i, (target, w) in enumerate(parts):
+    for i, (target, w) in enumerate(zip(targets, ws)):
         x = left if i == last else w * v / den
         out.append((target, x))
         left -= x
     return out
+
+
+def _weights_sum(ws):
+    """``(ws, math.fsum(ws))``, or, when that sum overflows, the same
+    for the weights' ratios to the largest."""
+    try:
+        return ws, math.fsum(ws)
+    except OverflowError:
+        top = max(ws)
+        ws = [w / top for w in ws]
+        return ws, math.fsum(ws)
+
+
+def _split_columns(v, weights: list):
+    """:func:`_split` of every row: ``v[i]`` shared over the weights
+    ``weights[k][i]``, one float column per target.  Returns the share
+    columns of the rows whose weights do not sum to zero, and the
+    boolean column of those rows.  The denominator is each row's
+    ``math.fsum``; every share is the IEEE operation ``_split`` applies,
+    the last target taking the remainder."""
+    rows = list(zip(*[w.tolist() for w in weights]))
+    try:
+        den = list(map(math.fsum, rows))
+    except OverflowError:
+        rows, den = zip(*map(_weights_sum, rows))
+        weights = [np.array(w, np.float64) for w in zip(*rows)]
+    den = np.array(den, np.float64)
+    ok = den != 0.0
+    if not ok.all():
+        v, den, weights = v[ok], den[ok], [w[ok] for w in weights]
+    shares, left = [], v
+    for w in weights[:-1]:
+        x = w * v / den
+        shares.append(x)
+        left = left - x
+    return shares + [left], ok
 
 
 def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
@@ -325,19 +397,53 @@ def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
     return 0 if frame.world is World.OPEN else full
 
 
+def _escalate(frame: Frame, unions, model: EmptinessModel) -> list:
+    """:func:`_union_escalate` of every union in the uint64 column,
+    called once per distinct union."""
+    unions = unions.tolist()
+    memo = {b: _union_escalate(frame, b, model) for b in set(unions)}
+    return list(map(memo.__getitem__, unions))
+
+
 def _mass_table(sources) -> tuple[dict, ...]:
     """Each source's masses by focal set."""
     return tuple(dict(s.entries) for s in sources)
 
 
-def _source_masses(masses, constants=None):
-    """Weights of a ledger entry, one per operand: the operand's own mass
-    in ``masses`` (one dict per source), or its source's entry of
-    ``constants`` where that is not None."""
-    if constants is None:
-        return lambda e: [m[b] for m, b in zip(masses, e.operands)]
-    return lambda e: [m[b] if k is None else k
-                      for m, b, k in zip(masses, e.operands, constants)]
+class _Routed:
+    """Where the mass of each of ``n`` terms goes: term i's first
+    ``count[i]`` (target, share) pairs, targets in order."""
+
+    def __init__(self, n: int, width: int):
+        self.targets = np.zeros((n, width), np.uint64)
+        self.shares = np.zeros((n, width), np.float64)
+        self.count = np.zeros(n, np.intp)
+        self._pairs = None
+
+    def put(self, rows, targets, shares) -> None:
+        """Give the terms ``rows`` (an index, a boolean column or a
+        slice) one pair per target; each target and share is a column
+        over those rows, or one value for all of them."""
+        for k, (t, x) in enumerate(zip(targets, shares)):
+            self.targets[rows, k] = t
+            self.shares[rows, k] = x
+        self.count[rows] = len(targets)
+
+    def pairs(self) -> tuple[list, list]:
+        """Every (target, share) pair, term by term: two lists, made
+        once after the last :meth:`put`."""
+        if self._pairs is None:
+            targets, shares = self.targets, self.shares
+            if self.count.min(initial=targets.shape[1]) < targets.shape[1]:
+                used = np.arange(targets.shape[1]) < self.count[:, None]
+                targets, shares = targets[used], shares[used]
+            self._pairs = targets.ravel().tolist(), shares.ravel().tolist()
+        return self._pairs
+
+    def rows(self):
+        """Each term's pairs as a tuple of (target, share) tuples."""
+        pairs = zip(*self.pairs())
+        return (tuple(itertools.islice(pairs, n)) for n in self.count.tolist())
 
 
 def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
@@ -346,9 +452,12 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     returned): ``"discard"`` it; the ledger total onto total
     ``"ignorance"`` or the ``"empty"`` set; each entry onto the escalated
     ``"union"`` of its operands; ``"split"`` it onto its operands in
-    proportion to ``ws = weights(entry)``, one weight per operand; or give
-    each operand its weight times the ``"ratio"`` of value to ``conorm(*ws)``.
-    A zero split or ratio denominator raises ``on_zero``, or falls back to the union.
+    proportion to their weights ws; or give each operand its weight times
+    the ``"ratio"`` of value to ``conorm(*ws)``.  An operand weighs its own
+    source mass, or its source's entry of ``weights`` where that is not
+    None.  A zero split or ratio denominator raises ``on_zero``, or falls
+    back to the union.  Entries are routed as columns and added to
+    ``out`` entry by entry, targets in operand order.
     ``rescale=(floor, error)`` then divides by the total, raising
     ``error(ledger)`` when the total is at most ``floor``."""
     frame = ledger.frame
@@ -357,23 +466,30 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
         if k:
             target = frame.universe_bits if how == "ignorance" else 0
             out[target] = out.get(target, 0.0) + k
-    elif how != "discard":
-        for e in ledger.entries:
-            v, ops = e.product, e.operands
-            shares = None
+    elif how != "discard" and len(ledger):
+        ops, v = ledger._operands(), ledger._products()
+        if how == "union":
+            _sums(_escalate(frame, _OR(ops), model), v.tolist(), out)
+        else:
+            ws = [m if k is None else np.full(len(v), k)
+                  for m, k in zip(ledger._masses(), weights or [None] * len(ops))]
             if how == "split":
-                shares = _split(v, tuple(zip(ops, weights(e))))
-            elif how == "ratio":
-                ws = weights(e)
-                den = conorm(*ws)
-                if den != 0.0:
-                    shares = [(b, w * (v / den)) for b, w in zip(ops, ws)]
-            if shares is None:
-                if how != "union" and on_zero is not None:
-                    raise on_zero
-                shares = ((_union_escalate(frame, _OR(ops), model), v),)
-            for b, x in shares:
-                out[b] = out.get(b, 0.0) + x
+                shares, spread = _split_columns(v, ws)
+            else:
+                den = np.array(list(map(conorm, *[w.tolist() for w in ws])), np.float64)
+                spread = den != 0.0
+                shares = [w[spread] * (v[spread] / den[spread]) for w in ws]
+            full = spread.all()
+            if not full and on_zero is not None:
+                raise on_zero
+            routed = _Routed(len(v), len(ops))
+            rows = slice(None) if full else spread
+            routed.put(rows, [o[rows] for o in ops], shares)
+            if not full:
+                union = ~spread
+                routed.put(union, [_escalate(frame, _OR([o[union] for o in ops]), model)],
+                           [v[union]])
+            _sums(*routed.pairs(), out)
     if rescale is not None:
         floor, error = rescale
         total = math.fsum(out.values())
@@ -399,8 +515,6 @@ def _rule(sources, model: EmptinessModel | None = None, how: str = "discard", *,
     model = model or EmptinessModel.free(frame)
     marked = _marks_empty(model) if marked is None else marked
     kept, ledger = _pool(sources, star, marked, value)
-    if how in ("split", "ratio"):
-        weights = _source_masses(_mass_table(sources), weights)
     out = _dispose(kept, ledger, how, model, weights=weights, **dispose)
     return Bba._from_masses(frame, out), ledger
 

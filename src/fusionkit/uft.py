@@ -5,9 +5,20 @@ the problem: which intersections the emptiness model rules out, how the
 sources' reliability should shape the combination step, and optional
 per-pair relationship annotations saying where the mass landing on each
 contested intersection must go.  :func:`uft_fuse` expands the
-combination into individual product terms, routes every term through
-its relationship, and returns the fused assignment together with
-pessimism brackets and a complete transfer audit.
+combination into the term table of :mod:`fusionkit.rules`, routes every
+term through its relationship, and returns the fused assignment
+together with pessimism brackets and a complete transfer audit.
+
+Routing runs on the table's columns.  Each distinct result is one
+route, resolved once by :func:`_route` (the same function
+:func:`redistribute` applies to a single term): a fixed target, the
+escalated union of the term's own operands, a split over the operands
+by their source masses, or a split over fixed targets by fixed weights.
+Splits take every share as :func:`fusionkit.rules._split` takes it, and
+the fused masses add the (target, share) pairs term by term, so every
+mass equals the per-term loop's bit for bit.  The audit keeps those
+columns; :class:`TransferRecord` objects are built only when it is read
+record by record, and the JSON and text writers format the columns.
 
 Routing policy for a term with operands (X from source 1, Y from
 source 2, ...) and result R:
@@ -27,13 +38,17 @@ or split back onto the operands proportionally to their masses (upper).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 from .algebra import AtomSet, EmptinessModel, Frame, World
 from .errors import (
@@ -45,9 +60,9 @@ from .errors import (
     enum_member,
 )
 from .mass import Bba, _is_strings, discount, make_bba
-from .rules import (_AND, _OR, _XOR, ConflictLedger, LedgerEntry, _check_sources, _check_terms,
-                    _dispose, _grouping, _mass_table, _source_masses, _split, _union_escalate,
-                    product_terms)
+from .rules import (_AND, _OR, _PRODUCT, _XOR, ConflictLedger, _check_sources, _dispose,
+                    _escalate, _grouping, _mass_table, _Routed, _split, _split_columns,
+                    _sums, _terms, _union_escalate)
 
 
 class Relationship(Enum):
@@ -213,6 +228,60 @@ class TransferRecord:
         }
 
 
+class _Audit(Sequence):
+    """The transfer audit of one fusion, kept as the router's columns.
+
+    Its length and :meth:`rows` read the columns; the
+    :class:`TransferRecord` tuple is built on the first read of a
+    record.  It compares equal to the tuple of its records.
+    """
+
+    def __init__(self, ops, results, values, rels, routes, routed: _Routed):
+        self._ops, self._results, self._values = ops, results, values
+        self._rels, self._routes, self._routed = rels, routes, routed
+        self._records = None
+
+    def rows(self):
+        """(operands, result, mass, relationship, targets) of every
+        record, in term order, as plain tuples."""
+        ops = zip(*[c.tolist() for c in self._ops])
+        rels = map(self._rels.__getitem__, self._routes.tolist())
+        return zip(ops, self._results.tolist(), self._values.tolist(), rels,
+                   self._routed.rows())
+
+    def _built(self) -> tuple:
+        if self._records is None:
+            self._records = tuple(itertools.starmap(TransferRecord, self.rows()))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Audit)):
+            return self._built() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._built())
+
+    def __repr__(self):
+        return repr(self._built())
+
+
+def _audit_rows(audit):
+    """The rows of an audit, built by the router or by hand."""
+    if isinstance(audit, _Audit):
+        return audit.rows()
+    return ((t.operands, t.result, t.mass, t.relationship, t.targets) for t in audit)
+
+
 @dataclass(frozen=True)
 class UftResult:
     m_uft: Bba
@@ -220,7 +289,7 @@ class UftResult:
     m_lower_open: Bba
     m_middle: Bba
     m_upper: Bba
-    audit: tuple[TransferRecord, ...]
+    audit: Sequence[TransferRecord]
     deferred: tuple[tuple[int, float], ...] = ()
     model: EmptinessModel | None = None
 
@@ -273,16 +342,16 @@ class UftResult:
         name_of = self.m_uft.frame.name_of
         name = _NameMemo(lambda b: _quote(name_of(b)))
 
-        def record(t: TransferRecord) -> str:
-            ops = _json_list([name[b] for b in t.operands], 6)
-            targets = _json_list([_json_pair(name[b], v, 8) for b, v in t.targets], 6)
-            return (f'{{\n      "operands": {ops},\n      "result": {name[t.result]},'
-                    f'\n      "mass": {_json_number(t.mass)},'
-                    f'\n      "relationship": {_REL_JSON[t.relationship]},'
+        def record(operands, result, mass, rel, targets) -> str:
+            ops = _json_list([name[b] for b in operands], 6)
+            targets = _json_list([_json_pair(name[b], v, 8) for b, v in targets], 6)
+            return (f'{{\n      "operands": {ops},\n      "result": {name[result]},'
+                    f'\n      "mass": {_json_number(mass)},'
+                    f'\n      "relationship": {_REL_JSON[rel]},'
                     f'\n      "targets": {targets}\n    }}')
 
         head = json.dumps(self._bba_sections(), indent=2)  # ends "\n}"
-        audit = _json_list([record(t) for t in self.audit], 2)
+        audit = _json_list(list(itertools.starmap(record, _audit_rows(self.audit))), 2)
         deferred = _json_list([_json_pair(name[b], v, 4) for b, v in self.deferred], 2)
         return f'{head[:-2]},\n  "audit": {audit},\n  "deferred": {deferred}\n}}'
 
@@ -365,15 +434,6 @@ class RedistContext:
         return _mass_table(self.sources)
 
 
-def _proportional_split(ops, p, ctx: RedistContext):
-    if len(ops) != len(ctx.sources):
-        raise InputError("a proportional split needs one operand per source")
-    shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(ctx._masses, ops)])
-    if shares is None:
-        return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
-    return shares
-
-
 def _other_singletons(ctx: RedistContext, sides):
     """Hypotheses not covered by either discarded side.
 
@@ -390,50 +450,99 @@ def _other_singletons(ctx: RedistContext, sides):
     return out
 
 
+#: Routes that are not one fixed target: the escalated union of the
+#: term's own operands, or a split over those operands in proportion to
+#: their source masses (falling back to that union when they sum to 0).
+_UNION = "union of the operands"
+_OPERANDS = "split over the operands"
+
+
+def _route(rel: Relationship, ctx: RedistContext, result: int, ops=()):
+    """Where the terms of ``result`` go under ``rel``: one target
+    bitmask, :data:`_UNION`, :data:`_OPERANDS`, or ``(targets, weights)``
+    to split over.  ``ops`` is needed only when ``ctx`` has no annotation
+    and ``rel`` is ``NEITHER_RIGHT``."""
+    ann = ctx.annotation
+    frame, model = ctx.frame, ctx.model
+    if rel is Relationship.CONSENSUS:
+        return result
+    if rel in _PROPORTIONAL:
+        return _OPERANDS
+    if rel in (Relationship.ONE_RIGHT_UNKNOWN, Relationship.PESSIMISTIC_BOTH) or (
+            rel is Relationship.UNKNOWN_DEFAULT and model.is_empty(AtomSet(frame, result))):
+        return _UNION if ann is None else _union_escalate(frame, ann.union_bits, model)
+    if rel is Relationship.UNKNOWN_DEFAULT:
+        return result
+    if rel is Relationship.RIGHT_IS:
+        if ann is None or ann.side is None:
+            raise InputError("right_is needs an annotated side")
+        return ann.side.bits
+    if rel is Relationship.VERY_PESSIMISTIC_CLOSED:
+        return frame.universe_bits
+    if rel in (Relationship.VERY_PESSIMISTIC_OPEN, Relationship.NEITHER_RIGHT_NO_OTHERS):
+        return 0
+    if rel is Relationship.NEITHER_RIGHT:
+        sides = tuple(a.bits for a in ann.pair) if ann is not None else tuple(ops)
+        targets = tuple(_other_singletons(ctx, sides))
+        if not targets:
+            union_bits = ann.union_bits if ann is not None else _OR(ops)
+            raise NoOtherHypotheses(
+                f"no hypothesis outside {frame.name_of(union_bits)} to receive the mass")
+        weights = (1.0,) * len(targets)
+        if ctx.options.neither_right_proportional:
+            mass = tuple(math.fsum(m.get(t, 0.0) for m in ctx._masses) for t in targets)
+            if math.fsum(mass) != 0.0:
+                weights = mass
+        return targets, weights
+    raise InputError(f"unknown relationship {rel!r}")
+
+
 def redistribute(term, rel: Relationship, ctx: RedistContext):
     """Route one product term (ops, result, mass); returns
     [(target bits, mass), ...] whose k masses sum to the term's mass
     within (k-1) ulp of it (see :func:`fusionkit.rules._split`)."""
     ops, result, p = term
-    ann = ctx.annotation
-    union_bits = ann.union_bits if ann is not None else _OR(ops)
+    route = _route(rel, ctx, result, ops)
+    if route is _OPERANDS:
+        if len(ops) != len(ctx.sources):
+            raise InputError("a proportional split needs one operand per source")
+        shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(ctx._masses, ops)])
+        if shares is not None:
+            return shares
+        route = _UNION
+    if route is _UNION:
+        return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
+    if isinstance(route, tuple):
+        return _split(p, list(zip(*route)))
+    return [(route, p)]
 
-    if rel is Relationship.CONSENSUS:
-        return [(result, p)]
-    if rel in _PROPORTIONAL:
-        return _proportional_split(ops, p, ctx)
-    if rel in (Relationship.ONE_RIGHT_UNKNOWN, Relationship.PESSIMISTIC_BOTH):
-        return [(_union_escalate(ctx.frame, union_bits, ctx.model), p)]
-    if rel is Relationship.RIGHT_IS:
-        if ann is None or ann.side is None:
-            raise InputError("right_is needs an annotated side")
-        return [(ann.side.bits, p)]
-    if rel is Relationship.VERY_PESSIMISTIC_CLOSED:
-        return [(ctx.frame.universe_bits, p)]
-    if rel is Relationship.VERY_PESSIMISTIC_OPEN:
-        return [(0, p)]
-    if rel is Relationship.NEITHER_RIGHT:
-        sides = (
-            tuple(a.bits for a in ann.pair) if ann is not None else tuple(ops)
-        )
-        targets = _other_singletons(ctx, sides)
-        if not targets:
-            raise NoOtherHypotheses(
-                "no hypothesis outside "
-                f"{ctx.frame.name_of(union_bits)} to receive the mass"
-            )
-        shares = None
-        if ctx.options.neither_right_proportional:
-            shares = _split(p, [(t, math.fsum(m.get(t, 0.0) for m in ctx._masses))
-                                for t in targets])
-        return shares or _split(p, [(t, 1.0) for t in targets])
-    if rel is Relationship.NEITHER_RIGHT_NO_OTHERS:
-        return [(0, p)]
-    if rel is Relationship.UNKNOWN_DEFAULT:
-        if ctx.model.is_empty(AtomSet(ctx.frame, result)):
-            return [(_union_escalate(ctx.frame, union_bits, ctx.model), p)]
-        return [(result, p)]
-    raise InputError(f"unknown relationship {rel!r}")
+
+def _route_terms(terms, ops: list, routes: list, inverse, model: EmptinessModel) -> _Routed:
+    """Every term of the table ``terms`` (operand columns ``ops``) sent
+    along ``routes[inverse[i]]``, the route of its result."""
+    frame = model.frame
+    splits = {i: r for i, r in enumerate(routes) if isinstance(r, tuple)}
+    values = terms.values
+    routed = _Routed(len(values), max([len(ops)] + [len(t) for t, _ in splits.values()]))
+    fixed = [isinstance(r, int) for r in routes]
+    rows = np.array(fixed, bool)[inverse]
+    target = np.array([r if f else 0 for r, f in zip(routes, fixed)], np.uint64)
+    routed.put(rows, [target[inverse[rows]]], [values[rows]])
+    union = np.array([r is _UNION for r in routes], bool)[inverse]
+    rows = np.array([r is _OPERANDS for r in routes], bool)[inverse].nonzero()[0]
+    if len(rows):
+        shares, spread = _split_columns(values[rows], terms.columns(terms.masses, rows))
+        union[rows[~spread]] = True
+        rows = rows[spread]
+        routed.put(rows, [o[rows] for o in ops], shares)
+    if union.any():
+        routed.put(union, [_escalate(frame, _OR([o[union] for o in ops]), model)],
+                   [values[union]])
+    for i, (targets, weights) in splits.items():
+        rows = (inverse == i).nonzero()[0]
+        shares, _ = _split_columns(values[rows], [np.full(len(rows), w) for w in weights])
+        routed.put(rows, targets, shares)
+    return routed
 
 
 # --- the fusion itself -------------------------------------------------------
@@ -447,57 +556,44 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
     contexts = {a.subject_bits: replace(plain, annotation=a)
                 for a in scenario.annotations}
 
-    fused: dict = {}
-    audit = []
-    deferred: dict = {}
-    kept: dict = {}
-    conflict = []
+    terms = _terms(sources, star, _PRODUCT)
+    ops, results, values = terms.columns(terms.bits), terms.results, terms.values
+    distinct, first, inverse = np.unique(results, return_index=True, return_inverse=True)
 
+    # One route per distinct result, resolved in the order of its first
+    # term, so that the first route to fail is the loop's.
     live = ~model.forced_empty_bits
-    routes: dict = {}  # result -> (context, relationship), one per result
+    rels, routes = [None] * len(distinct), [None] * len(distinct)
+    for i in np.argsort(first).tolist():
+        result = int(distinct[i])
+        ctx = contexts.get(result, plain)
+        if ctx.annotation is not None:
+            rels[i] = ctx.annotation.rel
+        elif not result & live:
+            rels[i] = Relationship.PESSIMISTIC_BOTH
+        routes[i] = result if rels[i] is None else _route(rels[i], ctx, result)
 
-    _check_terms(sources)
-    for ops, p in product_terms(sources):
-        result = star(ops)
-        route = routes.get(result)
-        if route is None:
-            ctx = contexts.get(result, plain)
-            ann = ctx.annotation
-            if ann is not None:
-                rel = ann.rel
-            elif not result & live:
-                rel = Relationship.PESSIMISTIC_BOTH
-            else:
-                rel = None
-            route = routes[result] = (ctx, rel)
-        ctx, rel = route
-
-        if rel is None:
-            targets = ((result, p),)
-        else:
-            targets = tuple(redistribute((ops, result, p), rel, ctx))
-            if rel is Relationship.UNKNOWN_DEFAULT and targets == ((result, p),):
-                deferred[result] = deferred.get(result, 0.0) + p
-        for b, v in targets:
-            fused[b] = fused.get(b, 0.0) + v
-        audit.append(TransferRecord(ops, result, p, rel, targets))
-
-        # pessimism brackets: free-algebra view, annotations ignored
-        if result == _AND(ops) and result not in ops:
-            conflict.append(LedgerEntry(ops, result, p))
-        else:
-            kept[result] = kept.get(result, 0.0) + p
+    routed = _route_terms(terms, ops, routes, inverse, model)
+    fused = _sums(*routed.pairs())
 
     reduced: dict = {}
     for b, v in fused.items():
         rb = b & ~model.forced_empty_bits
         reduced[rb] = reduced.get(rb, 0.0) + v
+    defers = [rel is Relationship.UNKNOWN_DEFAULT and route == result
+              for rel, route, result in zip(rels, routes, distinct.tolist())]
+    rows = np.array(defers, bool)[inverse]
+    deferred = _sums(results[rows].tolist(), values[rows].tolist())
 
-    ledger = ConflictLedger(frame, tuple(conflict))
+    # pessimism brackets: free-algebra view, annotations ignored
+    genuine = results == _AND(ops)
+    for o in ops:
+        genuine &= o != results
+    kept = _sums(results[~genuine].tolist(), values[~genuine].tolist())
+    ledger = ConflictLedger._lazy(frame, terms, genuine.nonzero()[0])
     free = EmptinessModel.free(frame)
     lower_closed = _dispose(dict(kept), ledger, "ignorance")
-    upper = _dispose(dict(kept), ledger, "split", free,
-                     weights=_source_masses(plain._masses))
+    upper = _dispose(dict(kept), ledger, "split", free)
     if scenario.options.middle_from_average:
         middle: dict = {}
         for acc in (lower_closed, upper):
@@ -513,7 +609,7 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
         m_lower_open=Bba._from_masses(frame, _dispose(kept, ledger, "empty")),
         m_middle=Bba._from_masses(frame, middle),
         m_upper=Bba._from_masses(frame, upper),
-        audit=tuple(audit),
+        audit=_Audit(ops, results, values, rels, inverse, routed),
         deferred=tuple(sorted(deferred.items())),
         model=model,
     )
@@ -631,8 +727,7 @@ def scenario_from_json(doc: dict) -> UftScenario:
     alphas = None
     if kind is ReliabilityKind.DISCOUNTS:
         alphas = rdoc.get("alphas")
-        if not (isinstance(alphas, list)
-                and all(isinstance(a, (int, float)) for a in alphas)):
+        if not (isinstance(alphas, list) and all(map(_is_number, alphas))):
             raise SchemaError("/reliability/alphas",
                               "discounts need a list of numbers")
         alphas = tuple(alphas)
@@ -644,15 +739,18 @@ def scenario_from_json(doc: dict) -> UftScenario:
         raise SchemaError("/annotations", "annotations must be a list")
     for i, adoc in enumerate(adocs):
         ptr = f"/annotations/{i}"
-        try:
-            x, y = adoc["pair"]
-            rel = adoc["rel"]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(ptr, f"bad annotation: {exc}") from None
-        rel = enum_member(Relationship, rel, "relationship", f"{ptr}/rel")
+        if not isinstance(adoc, dict):
+            raise SchemaError(ptr, "annotation must be an object")
+        for key in ("pair", "rel"):
+            if key not in adoc:
+                raise SchemaError(f"{ptr}/{key}", "missing required field")
+        if not (_is_strings(adoc["pair"]) and len(adoc["pair"]) == 2):
+            raise SchemaError(f"{ptr}/pair", "pair must be a list of two set expressions")
+        x, y = adoc["pair"]
+        rel = enum_member(Relationship, adoc["rel"], "relationship", f"{ptr}/rel")
         side = adoc.get("side")
-        if not _is_strings([x, y] if side is None else [x, y, side]):
-            raise SchemaError(ptr, "pair and side must be set expressions")
+        if side is not None and not isinstance(side, str):
+            raise SchemaError(f"{ptr}/side", "side must be a set expression")
         side = None if side is None else frame.atoms_of(side)
         annotations.append(
             Annotation((frame.atoms_of(x), frame.atoms_of(y)), rel, side)
@@ -661,18 +759,30 @@ def scenario_from_json(doc: dict) -> UftScenario:
     odoc = doc.get("options", {})
     if not isinstance(odoc, dict):
         raise SchemaError("/options", "options must be an object")
+    for key in ("neither_right_proportional", "middle_from_average"):
+        if not isinstance(odoc.get(key, False), bool):
+            raise SchemaError(f"/options/{key}", "option must be true or false")
     options = UftOptions(
-        neither_right_proportional=bool(odoc.get("neither_right_proportional", False)),
-        middle_from_average=bool(odoc.get("middle_from_average", False)),
+        neither_right_proportional=odoc.get("neither_right_proportional", False),
+        middle_from_average=odoc.get("middle_from_average", False),
     )
     return UftScenario(sources, model, reliability, tuple(annotations), options)
 
 
 def _tree_from_json(node, ptr: str):
     """Grouping trees arrive as ["and"|"or", left, right] with 1-based
-    leaves in documents; internally leaves are 0-based indices."""
+    leaves in documents; internally leaves are 0-based indices.  Errors
+    point at the offending node."""
+    if isinstance(node, bool):
+        raise SchemaError(ptr, f"grouping leaf must be a source number, got {json.dumps(node)}")
     if isinstance(node, int):
         return node - 1
     if isinstance(node, list) and len(node) == 3 and node[0] in ("and", "or"):
-        return (node[0], _tree_from_json(node[1], ptr), _tree_from_json(node[2], ptr))
+        return (node[0], _tree_from_json(node[1], f"{ptr}/1"),
+                _tree_from_json(node[2], f"{ptr}/2"))
     raise SchemaError(ptr, f"bad grouping node {node!r}")
+
+
+def _is_number(x) -> bool:
+    """An int or float from a JSON document, booleans excluded."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

@@ -251,11 +251,47 @@ class TestMalformedScenarios:
     @pytest.mark.parametrize("edit, pointer", [
         (lambda d: d.update(options=3), "/options"),
         (lambda d: d.update(annotations=5), "/annotations"),
-        (lambda d: d["annotations"][0].update(side=3), "/annotations/0"),
-        (lambda d: d["annotations"][0].update(pair=[1, 2]), "/annotations/0"),
+        (lambda d: d.update(annotations=[5]), "/annotations/0"),
+        (lambda d: d["annotations"][0].update(side=3), "/annotations/0/side"),
+        (lambda d: d["annotations"][0].update(pair=[1, 2]), "/annotations/0/pair"),
+        (lambda d: d["annotations"][0].update(pair="AB"), "/annotations/0/pair"),
+        (lambda d: d["annotations"][0].update(pair=["A", "B", "A|B"]), "/annotations/0/pair"),
+        (lambda d: d["annotations"][0].update(pair=["A"]), "/annotations/0/pair"),
+        (lambda d: d["annotations"][0].pop("pair"), "/annotations/0/pair"),
+        (lambda d: d["annotations"][0].pop("rel"), "/annotations/0/rel"),
+        (lambda d: d.update(options={"middle_from_average": "false"}),
+         "/options/middle_from_average"),
+        (lambda d: d.update(options={"neither_right_proportional": 1}),
+         "/options/neither_right_proportional"),
+        (lambda d: d.update(options={"middle_from_average": None}),
+         "/options/middle_from_average"),
+        (lambda d: d.update(reliability={"kind": "discounts", "alphas": [True, 0.5]}),
+         "/reliability/alphas"),
+        (lambda d: d.update(reliability={"kind": "mixed_grouping", "tree": ["and", True, 2]}),
+         "/reliability/tree/1"),
+        (lambda d: d.update(reliability={"kind": "mixed_grouping", "tree": ["and", 1, False]}),
+         "/reliability/tree/2"),
+        (lambda d: d.update(reliability={"kind": "mixed_grouping",
+                                         "tree": ["or", 1, ["and", 2, True]]}),
+         "/reliability/tree/2/2"),
     ])
     def test_bad_uft_block(self, edit, pointer, tmp_path):
         rejected(["uft", scenario_file(tmp_path, edit)], pointer)
+
+    @pytest.mark.parametrize("leaf", [True, False])
+    def test_boolean_grouping_leaf_is_rejected_by_fuse(self, leaf, tmp_path):
+        path = scenario_file(tmp_path, lambda d: d.update(grouping=["or", 1, leaf]))
+        code, out, err = run(["fuse", "--rule", "mixed", path])
+        assert (code, out) == (1, "")
+        assert err == (f"error: /grouping/2: grouping leaf must be a source number, "
+                       f"got {json.dumps(leaf)}\n")
+
+    @pytest.mark.parametrize("pair", ["AB", ["A", "B", "A|B"]])
+    def test_bad_pair_message(self, pair, tmp_path):
+        path = scenario_file(tmp_path, lambda d: d["annotations"][0].update(pair=pair))
+        _, _, err = run(["uft", path])
+        assert err == ("error: /annotations/0/pair: "
+                       "pair must be a list of two set expressions\n")
 
 
 class TestTcnCommand:

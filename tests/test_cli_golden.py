@@ -5,7 +5,10 @@ Every fixture in ``tests/data`` goes through ``uft`` (text, json, csv),
 T-norm) and ``ufr``; a fixed set of ``neutro eval`` expressions covers
 every recipe and the parser's errors.  The 8-source, 4-focal-set
 scenario in ``tests/data/deep`` (65,536 product terms, under a model)
-goes through ``fuse`` under the four pooling rules, text and json.
+goes through ``fuse`` under the four pooling rules, text and json, and
+the four ``uft_*`` scenarios there (3 and 4 sources, up to 192 terms,
+every relationship and the discounts, grouping and exactly-one kinds)
+through ``uft`` (text, json, csv).
 Each run's exit code, stdout and
 stderr must equal the recorded run in ``golden/cli_runs.json``.
 
@@ -49,6 +52,8 @@ NEUTRO_EXPRS = (
 DEEP = "tests/data/deep/eight_sources.json"
 POOLING_RULES = (RuleId.CONJUNCTIVE, RuleId.DISJUNCTIVE,
                  RuleId.EXCLUSIVE_DISJUNCTIVE, RuleId.MIXED)
+DEEP_UFT = sorted(p.relative_to(ROOT).as_posix()
+                  for p in (ROOT / "tests" / "data" / "deep").glob("uft_*.json"))
 
 
 def runs() -> list:
@@ -64,6 +69,8 @@ def runs() -> list:
         out.append(["ufr", scenario])
     out += [["fuse", "--rule", rule.value, "--format", fmt, DEEP]
             for rule in POOLING_RULES for fmt in ("text", "json")]
+    out += [["uft", "--format", fmt, scenario]
+            for scenario in DEEP_UFT for fmt in ("text", "json", "csv")]
     out += [["neutro", "eval", expr] for expr in NEUTRO_EXPRS]
     return out
 

@@ -12,6 +12,7 @@ hypotheses, three emptiness models and bbas of one to five focal sets.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +42,7 @@ from fusionkit import (
     ufr_combine,
 )
 from fusionkit.errors import DegenerateWeights, TotalConflict, ZeroTotalMass
-from fusionkit.rules import _split
+from fusionkit.rules import _split, _split_columns
 
 LABELS = ("A", "B", "C", "D")
 FOLD_RULES = (RuleId.DEMPSTER, RuleId.YAGER, RuleId.SMETS_TBM,
@@ -337,3 +338,18 @@ def test_overflowing_weights_split_by_their_ratio(v, big, small):
 
 def test_zero_weights_split_nothing():
     assert _split(0.5, [("a", 0.0), ("b", 0.0)]) is None
+
+
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(
+    st.tuples(split_values, st.lists(st.sampled_from([0.0, 1e-300, 0.25, 3.0, 1e308])
+                                     | st.floats(0.0, 1.0), min_size=k, max_size=k)),
+    min_size=1, max_size=8)))
+@PROPERTY
+def test_column_split_is_the_row_split(rows):
+    values = np.array([v for v, _ in rows])
+    weights = [np.array(col) for col in zip(*[ws for _, ws in rows])]
+    shares, spread = _split_columns(values, weights)
+    want = [_split(v, list(enumerate(ws))) for v, ws in rows]
+    assert spread.tolist() == [w is not None for w in want]
+    got = list(zip(*[x.tolist() for x in shares]))
+    assert got == [tuple(x for _, x in w) for w in want if w is not None]

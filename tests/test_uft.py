@@ -6,10 +6,13 @@ whole catalog at once, including the model-aware class naming of the
 results.
 """
 
+import itertools
 import json
 import math
 import operator
 import pathlib
+import re
+from dataclasses import astuple
 from functools import reduce
 
 import pytest
@@ -52,6 +55,9 @@ from fusionkit import (
     uft_fuse_dynamic,
 )
 from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses, SchemaError
+from fusionkit import uft as uft_module
+from fusionkit.cli import main as cli_main
+from fusionkit.rules import _split, _union_escalate
 
 
 def fuse_pair(frame, s1, s2, model, rel, side=None, options=None):
@@ -613,6 +619,53 @@ class TestJsonScenario:
         assert str(exc.value) == f"/annotations/0/rel: unknown relationship {rel!r}"
         assert exc.value.pointer == "/annotations/0/rel"
 
+    @pytest.mark.parametrize("key", ["middle_from_average", "neither_right_proportional"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}])
+    def test_options_must_be_json_booleans(self, key, value):
+        doc = dict(self.DOC, options={key: value})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.pointer == f"/options/{key}"
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_boolean_options_are_read_as_given(self, value):
+        doc = dict(self.DOC, options={"middle_from_average": value})
+        assert scenario_from_json(doc).options.middle_from_average is value
+
+    @pytest.mark.parametrize("alphas", [[True, 0.5], [1, False]])
+    def test_boolean_discounts_are_rejected(self, alphas):
+        doc = dict(self.DOC, reliability={"kind": "discounts", "alphas": alphas})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.pointer == "/reliability/alphas"
+
+    @pytest.mark.parametrize("annotation, pointer", [
+        ({"pair": "AB", "rel": "consensus"}, "/annotations/0/pair"),
+        ({"pair": ["A", "B", "A|B"], "rel": "consensus"}, "/annotations/0/pair"),
+        ({"pair": ["A", 2], "rel": "consensus"}, "/annotations/0/pair"),
+        ({"rel": "consensus"}, "/annotations/0/pair"),
+        ({"pair": ["A", "B"]}, "/annotations/0/rel"),
+        ({"pair": ["A", "B"], "rel": "right_is", "side": ["A"]}, "/annotations/0/side"),
+        (["A", "B"], "/annotations/0"),
+    ])
+    def test_malformed_annotations_name_their_field(self, annotation, pointer):
+        doc = dict(self.DOC, annotations=[annotation])
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.pointer == pointer
+
+    @pytest.mark.parametrize("tree, pointer", [
+        (["and", True, 2], "/reliability/tree/1"),
+        (["and", 1, False], "/reliability/tree/2"),
+        (["or", ["and", 1, True], 2], "/reliability/tree/1/2"),
+        (["and", 1, "2"], "/reliability/tree/2"),
+    ])
+    def test_grouping_leaves_must_be_source_numbers(self, tree, pointer):
+        doc = dict(self.DOC, reliability={"kind": "mixed_grouping", "tree": tree})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert exc.value.pointer == pointer
+
     def test_grouping_tree_leaves_are_one_based_in_documents(self):
         doc = {
             "frame": ["A", "B"],
@@ -719,6 +772,128 @@ def reference_brackets(scenario: UftScenario):
     return reduced, audit, sorted(deferred.items()), brackets
 
 
+# --- the column router against the per-term loop ------------------------------
+
+
+def _terms_loop(sources):
+    """Every product term valued nonzero, in ``itertools.product`` order."""
+    for combo in itertools.product(*[s.crisp_items() for s in sources]):
+        ops = tuple(b for b, _ in combo)
+        p = math.prod(v for _, v in combo)
+        if p != 0.0:
+            yield ops, p
+
+
+def reference_redistribute(term, rel: Relationship, ctx: RedistContext):
+    """One term routed by its relationship, as :func:`redistribute` did
+    before routing moved onto columns."""
+    ops, result, p = term
+    ann = ctx.annotation
+    frame, model = ctx.frame, ctx.model
+    union_bits = ann.union_bits if ann is not None else reduce(operator.or_, ops)
+    masses = [dict(s.entries) for s in ctx.sources]
+    if rel is Relationship.CONSENSUS:
+        return [(result, p)]
+    if rel in (Relationship.NEITHER_INTERSECTION_NOR_UNION_INTEREST,
+               Relationship.OPTIMISTIC_BOTH):
+        shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(masses, ops)])
+        if shares is None:
+            return [(_union_escalate(frame, reduce(operator.or_, ops), model), p)]
+        return shares
+    if rel in (Relationship.ONE_RIGHT_UNKNOWN, Relationship.PESSIMISTIC_BOTH):
+        return [(_union_escalate(frame, union_bits, model), p)]
+    if rel is Relationship.RIGHT_IS:
+        return [(ann.side.bits, p)]
+    if rel is Relationship.VERY_PESSIMISTIC_CLOSED:
+        return [(frame.universe_bits, p)]
+    if rel in (Relationship.VERY_PESSIMISTIC_OPEN, Relationship.NEITHER_RIGHT_NO_OTHERS):
+        return [(0, p)]
+    if rel is Relationship.NEITHER_RIGHT:
+        sides = tuple(a.bits for a in ann.pair) if ann is not None else tuple(ops)
+        targets = [frame.label_bits(lab) for lab in frame.labels
+                   if all(frame.label_bits(lab) & ~s for s in sides)]
+        if not targets:
+            raise NoOtherHypotheses(
+                f"no hypothesis outside {frame.name_of(union_bits)} to receive the mass")
+        shares = None
+        if ctx.options.neither_right_proportional:
+            shares = _split(p, [(t, math.fsum(m.get(t, 0.0) for m in masses))
+                                for t in targets])
+        return shares or _split(p, [(t, 1.0) for t in targets])
+    assert rel is Relationship.UNKNOWN_DEFAULT
+    if model.is_empty(AtomSet(frame, result)):
+        return [(_union_escalate(frame, union_bits, model), p)]
+    return [(result, p)]
+
+
+def reference_uft_fuse(scenario: UftScenario) -> UftResult:
+    """:func:`uft_fuse` as the loop over the terms it was before routing
+    moved onto columns: each term routed on its own, its audit record
+    built, and the genuine intersections filed as ledger entries that
+    the four brackets then dispose of one entry at a time."""
+    frame = scenario.frame
+    model = scenario.model or EmptinessModel.free(frame)
+    free = EmptinessModel.free(frame)
+    step = scenario.reliability
+    sources = scenario.sources
+    if step.kind is ReliabilityKind.DISCOUNTS:
+        sources = tuple(discount(s, a) for s, a in zip(sources, step.alphas))
+    star = _step_star(step)
+    plain = RedistContext(frame, model, sources, None, scenario.options)
+    contexts = {a.subject_bits: RedistContext(frame, model, sources, a, scenario.options)
+                for a in scenario.annotations}
+    masses = [dict(s.entries) for s in sources]
+
+    fused, deferred, kept, audit, conflict = {}, {}, {}, [], []
+    for ops, p in _terms_loop(sources):
+        result = star(ops)
+        ctx = contexts.get(result, plain)
+        if ctx.annotation is not None:
+            rel = ctx.annotation.rel
+        elif model.is_empty(AtomSet(frame, result)):
+            rel = Relationship.PESSIMISTIC_BOTH
+        else:
+            rel = None
+        if rel is None:
+            targets = ((result, p),)
+        else:
+            targets = tuple(reference_redistribute((ops, result, p), rel, ctx))
+            if rel is Relationship.UNKNOWN_DEFAULT and targets == ((result, p),):
+                _add(deferred, result, p)
+        for b, v in targets:
+            _add(fused, b, v)
+        audit.append(TransferRecord(ops, result, p, rel, targets))
+        if result == reduce(operator.and_, ops) and result not in ops:
+            conflict.append((ops, p))
+        else:
+            _add(kept, result, p)
+
+    reduced: dict = {}
+    for b, v in fused.items():
+        _add(reduced, b & ~model.forced_empty_bits, v)
+    k = math.fsum(p for _, p in conflict)
+    lower_closed, lower_open = dict(kept), dict(kept)
+    if k:
+        _add(lower_closed, frame.universe_bits, k)
+        _add(lower_open, 0, k)
+    middle, upper = dict(kept), dict(kept)
+    for ops, p in conflict:
+        union = _union_escalate(frame, reduce(operator.or_, ops), free)
+        _add(middle, union, p)
+        shares = _split(p, [(b, m[b]) for m, b in zip(masses, ops)]) or [(union, p)]
+        for b, x in shares:
+            _add(upper, b, x)
+    if scenario.options.middle_from_average:
+        middle = {}
+        for acc in (lower_closed, upper):
+            for b, v in acc.items():
+                _add(middle, b, v / 2)
+    return UftResult(
+        *(Bba._from_masses(frame, m)
+          for m in (reduced, lower_closed, lower_open, middle, upper)),
+        audit=tuple(audit), deferred=tuple(sorted(deferred.items())), model=model)
+
+
 _LABELS = ("A", "B", "C", "D")
 
 
@@ -727,7 +902,7 @@ def _scenarios(draw):
     n = draw(st.integers(2, 4))
     frame = Frame(_LABELS[:n], draw(st.sampled_from(World)))
     full = frame.universe_bits
-    n_sources = draw(st.integers(2, 5))
+    n_sources = draw(st.integers(2, 6))
     sources = []
     for _ in range(n_sources):
         k = draw(st.integers(1, 4 if n_sources < 5 else 3))
@@ -802,6 +977,72 @@ class TestBracketsAgainstTheTermLoop:
             for b in set(have) | set(masses):
                 assert have.get(b, 0.0) == pytest.approx(
                     masses.get(b, 0.0), abs=BRACKET_TOL, rel=0), (name, b)
+
+
+class TestUftAgainstTheTermLoop:
+    @given(_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_every_mass_bracket_and_record_is_bit_identical(self, scenario):
+        try:
+            want = reference_uft_fuse(scenario)
+        except NoOtherHypotheses as exc:
+            with pytest.raises(NoOtherHypotheses, match=f"^{re.escape(str(exc))}$"):
+                uft_fuse(scenario)
+            return
+        got = uft_fuse(scenario)
+        for name in ("m_uft", "m_lower_closed", "m_lower_open", "m_middle", "m_upper"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.deferred == want.deferred
+        assert len(got.audit) == len(want.audit)
+        assert got.audit == want.audit
+        assert got.model == want.model
+
+
+class _CountingRecord(TransferRecord):
+    """Stand-in for :class:`TransferRecord` that counts its instances."""
+
+    made = 0
+
+    def __init__(self, *args):
+        type(self).made += 1
+        super().__init__(*args)
+
+
+class TestLazyAudit:
+    @pytest.fixture(autouse=True)
+    def counting(self, monkeypatch):
+        monkeypatch.setattr(uft_module, "TransferRecord", _CountingRecord)
+        _CountingRecord.made = 0
+
+    def scenario(self):
+        return scenario_from_json(json.loads((DATA / "deep" / "uft_discounts.json").read_text()))
+
+    def test_len_builds_no_record(self):
+        result = uft_fuse(self.scenario())
+        assert len(result.audit) == 192
+        assert _CountingRecord.made == 0
+        want = reference_uft_fuse(self.scenario()).audit
+        assert _CountingRecord.made == 0
+        assert astuple(result.audit[0]) == astuple(want[0])
+        assert _CountingRecord.made == 192
+
+    @pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+    def test_cli_formats_build_no_record(self, fmt, capsys):
+        assert cli_main(["uft", "--format", fmt,
+                         str(DATA / "deep" / "uft_discounts.json")]) == 0
+        assert capsys.readouterr().out
+        assert _CountingRecord.made == 0
+
+    def test_write_json_builds_no_record(self):
+        result = uft_fuse(self.scenario())
+        assert result.write_json() == generic_json(result)
+        assert _CountingRecord.made == len(result.audit)  # only to_json built them
+
+    def test_records_are_built_once(self):
+        audit = uft_fuse(self.scenario()).audit
+        assert list(audit) == list(audit)
+        assert audit == tuple(audit) and hash(audit) == hash(tuple(audit))
+        assert _CountingRecord.made == 192
 
 
 # --- the audit writer against the generic encoder ------------------------------
