@@ -159,7 +159,7 @@ def _cmd_fuse(args) -> int:
     if rule is RuleId.MIXED:
         if "grouping" not in doc:
             raise InputError("the mixed rule needs a \"grouping\" block")
-        grouping = _tree_from_json(doc["grouping"], "/grouping")
+        grouping = _tree_from_json(doc["grouping"], "/grouping", len(sources))
     _print_result(fuse_many(rule, sources, model, grouping), args.format)
     return 0
 

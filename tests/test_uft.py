@@ -23,6 +23,7 @@ from conftest import (
     bayesian_scenario,
     four_label_sources,
     negation_scenario,
+    reference_split,
     two_label_sources,
 )
 
@@ -57,7 +58,7 @@ from fusionkit import (
 from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses, SchemaError
 from fusionkit import uft as uft_module
 from fusionkit.cli import main as cli_main
-from fusionkit.rules import _split, _union_escalate
+from fusionkit.rules import _union_escalate
 
 
 def fuse_pair(frame, s1, s2, model, rel, side=None, options=None):
@@ -460,6 +461,25 @@ class TestRedistribute:
         with pytest.raises(InputError, match="one operand per source"):
             redistribute((ops, 0, 0.08), Relationship.OPTIMISTIC_BOTH, self.ctx())
 
+    def test_operands_outside_the_universe_are_rejected(self):
+        with pytest.raises(InputError, match="operands and result must be bitmasks in 0..7"):
+            redistribute(((-1, 2), 0, 0.25), Relationship.OPTIMISTIC_BOTH, self.ctx())
+
+    def test_result_outside_the_universe_is_rejected(self):
+        with pytest.raises(InputError, match="operands and result must be bitmasks in 0..7"):
+            redistribute(((1, 2), 2**70, 0.25), Relationship.CONSENSUS, self.ctx())
+
+    @pytest.mark.parametrize("term", [
+        ((1, 8), 0, 0.25), ((), 0, 0.25), ("AB", 0, 0.25), ((True, 2), 0, 0.25),
+        ((1, 2.0), 0, 0.25), ((1, 2), -1, 0.25), ((1, 2), None, 0.25),
+        ((1, 2), 0, "0.25"), ((1, 2), 0, math.nan), ((1, 2), 0, True),
+    ], ids=repr)
+    @pytest.mark.parametrize("rel", [Relationship.CONSENSUS, Relationship.PESSIMISTIC_BOTH,
+                                     Relationship.OPTIMISTIC_BOTH])
+    def test_malformed_terms_are_rejected(self, term, rel):
+        with pytest.raises(InputError, match="^term "):
+            redistribute(term, rel, self.ctx())
+
     def test_side_rejected_for_other_relationships(self):
         a, b = self.frame.atoms_of("A"), self.frame.atoms_of("B")
         with pytest.raises(InputError):
@@ -525,6 +545,26 @@ class TestDeferredWorkflow:
     def test_reroute_splits_overflowing_weights_by_their_ratio(self):
         out = reroute_mass(self.halves(), "A", [("B", 1e308), ("A|B", 1e308)])
         assert out == make_bba(out.frame, {"B": 0.75, "A|B": 0.25})
+
+    @given(st.floats(0.01, 0.99),
+           st.lists(st.tuples(st.sampled_from(["A", "B", "C", "A|B", "B|C", "A|B|C"]),
+                              st.sampled_from([0.0, 1e-300, 3.0, 1e308, 1.7e308])
+                              | st.floats(0.0, 1.0)),
+                    max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_reroute_shares_are_the_reference_split(self, p, targets):
+        frame = Frame(("A", "B", "C"))
+        b = make_bba(frame, {"A": p, "B|C": 1.0 - p})
+        src = frame.atoms_of("A").bits
+        shares = reference_split(b.mass(src), [(frame.atoms_of(t).bits, w) for t, w in targets])
+        if shares is None:
+            with pytest.raises(InputError, match="sum to a positive value"):
+                reroute_mass(b, "A", targets)
+            return
+        want = {bits: v for bits, v in b.entries if bits != src}
+        for bits, x in shares:
+            want[bits] = want.get(bits, 0.0) + x
+        assert reroute_mass(b, "A", targets) == Bba._from_masses(frame, want)
 
 
 class TestDynamicFusion:
@@ -796,7 +836,7 @@ def reference_redistribute(term, rel: Relationship, ctx: RedistContext):
         return [(result, p)]
     if rel in (Relationship.NEITHER_INTERSECTION_NOR_UNION_INTEREST,
                Relationship.OPTIMISTIC_BOTH):
-        shares = _split(p, [(b, m.get(b, 0.0)) for m, b in zip(masses, ops)])
+        shares = reference_split(p, [(b, m.get(b, 0.0)) for m, b in zip(masses, ops)])
         if shares is None:
             return [(_union_escalate(frame, reduce(operator.or_, ops), model), p)]
         return shares
@@ -817,9 +857,9 @@ def reference_redistribute(term, rel: Relationship, ctx: RedistContext):
                 f"no hypothesis outside {frame.name_of(union_bits)} to receive the mass")
         shares = None
         if ctx.options.neither_right_proportional:
-            shares = _split(p, [(t, math.fsum(m.get(t, 0.0) for m in masses))
-                                for t in targets])
-        return shares or _split(p, [(t, 1.0) for t in targets])
+            shares = reference_split(p, [(t, math.fsum(m.get(t, 0.0) for m in masses))
+                                         for t in targets])
+        return shares or reference_split(p, [(t, 1.0) for t in targets])
     assert rel is Relationship.UNKNOWN_DEFAULT
     if model.is_empty(AtomSet(frame, result)):
         return [(_union_escalate(frame, union_bits, model), p)]
@@ -880,7 +920,7 @@ def reference_uft_fuse(scenario: UftScenario) -> UftResult:
     for ops, p in conflict:
         union = _union_escalate(frame, reduce(operator.or_, ops), free)
         _add(middle, union, p)
-        shares = _split(p, [(b, m[b]) for m, b in zip(masses, ops)]) or [(union, p)]
+        shares = reference_split(p, [(b, m[b]) for m, b in zip(masses, ops)]) or [(union, p)]
         for b, x in shares:
             _add(upper, b, x)
     if scenario.options.middle_from_average:
@@ -950,6 +990,53 @@ def _scenarios(draw):
     options = UftOptions(neither_right_proportional=draw(st.booleans()),
                          middle_from_average=draw(st.booleans()))
     return UftScenario(tuple(sources), model, rel, tuple(annotations), options)
+
+
+@st.composite
+def _routed_terms(draw):
+    """One term over the sources of a corpus scenario, a relationship and
+    its context, with or without an annotation.  Half the terms draw
+    their operands from the sets their sources give no mass, so a
+    proportional split falls back to the union."""
+    scenario = draw(_scenarios())
+    frame, sources = scenario.frame, scenario.sources
+    full = frame.universe_bits
+    focal = [[b for b, _ in s.entries] for s in sources]
+    if draw(st.booleans()):
+        ops = tuple(draw(st.sampled_from([b for b in range(full + 1) if b not in f]))
+                    for f in focal)
+    else:
+        ops = tuple(draw(st.sampled_from(f) | st.integers(0, full)) for f in focal)
+    result = draw(st.sampled_from((reduce(operator.and_, ops), reduce(operator.or_, ops)))
+                  | st.integers(0, full))
+    rel = draw(st.sampled_from(Relationship))
+    ann = None
+    if draw(st.booleans()):
+        x, y = (AtomSet(frame, draw(st.integers(1, full))) for _ in range(2))
+        ann = Annotation((x, y), rel, x if rel is Relationship.RIGHT_IS else None)
+    ctx = RedistContext(frame, scenario.model or EmptinessModel.free(frame), sources,
+                        ann, scenario.options)
+    return (ops, result, draw(st.floats(0.0, 1.0))), rel, ctx
+
+
+class TestRedistributeAgainstItsOracle:
+    @given(_routed_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_redistribute_is_the_one_term_loop(self, case):
+        term, rel, ctx = case
+        if rel is Relationship.RIGHT_IS and ctx.annotation is None:
+            with pytest.raises(InputError, match="^right_is needs an annotated side$"):
+                redistribute(term, rel, ctx)
+            return
+        try:
+            want = reference_redistribute(term, rel, ctx)
+        except NoOtherHypotheses as exc:
+            with pytest.raises(NoOtherHypotheses, match=f"^{re.escape(str(exc))}$"):
+                redistribute(term, rel, ctx)
+            return
+        got = redistribute(term, rel, ctx)
+        assert got == want
+        assert all(type(b) is int and type(x) is float for b, x in got)
 
 
 #: Fixed before the comparison: the brackets may pool kept mass before
