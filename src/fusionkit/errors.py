@@ -6,6 +6,8 @@ parameters, schemas -- CLI exit code 1) and :class:`ComputationError`
 exit code 2).
 """
 
+import numbers
+
 
 class FusionKitError(Exception):
     """Base class for every error raised by fusionkit."""
@@ -151,3 +153,10 @@ def enum_member(kind, value, what: str, pointer: str | None = None):
         message = f"unknown {what} {value!r}"
         raise (InputError(message) if pointer is None
                else SchemaError(pointer, message)) from None
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a :class:`numbers.Real` other than a bool
+    (floats and ints first: the ABC check alone is several times slower)."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))

@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     ZeroTotalMass,
     enum_member,
+    is_real,
 )
 
 #: Tolerance for crisp classification decisions.
@@ -37,10 +38,13 @@ class NormClass(Enum):
 
 
 def _number(v) -> float:
+    """A real number (not a boolean) as a float; too large an int is an infinity."""
+    if not is_real(v):
+        raise SchemaError("/masses", f"mass must be a number, got {v!r}")
     try:
         x = float(v)
-    except (TypeError, ValueError):
-        raise SchemaError("/masses", f"mass must be a number, got {v!r}") from None
+    except OverflowError:
+        x = math.inf if v > 0 else -math.inf
     if math.isnan(x):
         raise SchemaError("/masses", "mass is NaN")
     return x
@@ -76,7 +80,7 @@ def _add(a, b):
     return (alo + blo, ahi + bhi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bba:
     """Immutable mass function keyed by canonical sets.
 
@@ -87,16 +91,6 @@ class Bba:
 
     frame: Frame
     entries: tuple  # ((bits, value), ...) sorted by bits
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Bba)
-            and self.frame == other.frame
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.frame, self.entries))
 
     @classmethod
     def _from_masses(cls, frame: Frame, masses: dict) -> "Bba":
@@ -253,21 +247,18 @@ def conjunctive_intervals(m1: Bba, m2: Bba) -> Bba:
     """Conjunctive combination of interval bbas by endpoint products.
 
     Free-model only: every product lands on the plain intersection.
-    Crisp entries are treated as degenerate intervals.
+    Crisp entries are treated as degenerate intervals.  Each endpoint
+    pools the sources' crisp bbas of that endpoint on the engine.
     """
-    if m1.frame != m2.frame:
-        raise FrameMismatch("sources disagree on the frame")
+    from .rules import _AND, _NEVER, _PRODUCT, _check_sources, _pool  # rules imports mass
 
-    def as_iv(v):
-        return v if isinstance(v, tuple) else (v, v)
+    frame = _check_sources((m1, m2))
 
-    acc: dict = {}
-    for b1, v1 in m1.entries:
-        lo1, hi1 = as_iv(v1)
-        for b2, v2 in m2.entries:
-            lo2, hi2 = as_iv(v2)
-            bits = b1 & b2
-            lo, hi = acc.get(bits, (0.0, 0.0))
-            acc[bits] = (lo + lo1 * lo2, hi + hi1 * hi2)
-    out = {bits: (lo, hi) if lo != hi else lo for bits, (lo, hi) in acc.items()}
-    return Bba._from_masses(m1.frame, out)
+    def endpoints(m: Bba, end: int) -> Bba:
+        return Bba._from_masses(frame, {b: v[end] if isinstance(v, tuple) else v
+                                        for b, v in m.entries})
+
+    lo, hi = (_pool([endpoints(m1, end), endpoints(m2, end)], _AND, _NEVER, _PRODUCT)[0]
+              for end in (0, 1))
+    ends = ((bits, lo.get(bits, 0.0), v) for bits, v in hi.items())
+    return Bba._from_masses(frame, {bits: a if a == b else (a, b) for bits, a, b in ends})

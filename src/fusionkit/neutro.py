@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm
+from .errors import (InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm,
+                     is_real)
 from .tcn import DUAL_CONORM, TNorm, _lookup, tconorm, tnorm
 
 
 def _iv(c) -> tuple[float, float]:
     """Component as a (lo, hi) interval; crisp a becomes [a, a]."""
-    if isinstance(c, (int, float)):
+    if not isinstance(c, (tuple, list)):
         return (float(c), float(c))
     lo, hi = c
     return (float(lo), float(hi))
@@ -48,7 +49,15 @@ class NsTriple:
 
     def __post_init__(self):
         for name in ("t", "i", "f"):
-            lo, hi = _iv(getattr(self, name))
+            c = getattr(self, name)
+            pair = isinstance(c, (tuple, list)) and len(c) == 2
+            if not (all(map(is_real, c)) if pair else is_real(c)):
+                raise InputError(f"component {name} must be a number or a (lo, hi) pair, "
+                                 f"got {c!r}")
+            try:
+                lo, hi = _iv(c)
+            except OverflowError:  # an int too large for a float
+                lo = hi = math.inf
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InputError(f"component {name} is not finite")
             if lo < 0.0:
@@ -78,7 +87,7 @@ class NsTriple:
     @classmethod
     def from_json(cls, doc) -> "NsTriple":
         def number(key, v):
-            if isinstance(v, (int, float)):
+            if is_real(v):
                 return float(v)
             raise InputError(f"bad component {key!r}: {v!r}")
 
@@ -361,9 +370,7 @@ def _check_lengths(*vectors):
 
 def klaw_same(z) -> float:
     """Same-symbol composition: the plain product z1 z2 ... zk."""
-    k = len(z)
-    if k < 2:
-        raise LengthMismatch("component vectors need k >= 2 entries")
+    _check_lengths(z)
     return math.prod(z)
 
 

@@ -443,11 +443,12 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
     ``"ignorance"`` or the ``"empty"`` set; each entry onto the escalated
     ``"union"`` of its operands; ``"split"`` it onto its operands in
     proportion to their weights ws; or give each operand its weight times
-    the ``"ratio"`` of value to ``conorm(*ws)``.  An operand weighs its own
-    source mass, or its source's entry of ``weights`` where that is not
-    None.  A zero split or ratio denominator raises ``on_zero``, or falls
-    back to the union.  Entries are routed as columns and added to
-    ``out`` entry by entry, targets in operand order.
+    the ``"ratio"`` of value to ``conorm(*ws)``, a function of columns.
+    An operand weighs its own source mass, or its source's entry of
+    ``weights`` where that is not None.  A zero split or ratio
+    denominator raises ``on_zero``, or falls back to the union.  Entries
+    are routed as columns and added to ``out`` entry by entry, targets
+    in operand order.
     ``rescale=(floor, error)`` then divides by the total, raising
     ``error(ledger)`` when the total is at most ``floor``."""
     frame = ledger.frame
@@ -466,7 +467,7 @@ def _dispose(out: dict, ledger: ConflictLedger, how: str, model=None, *,
             if how == "split":
                 shares, spread = _split_columns(v, ws)
             else:
-                den = np.array(list(map(conorm, *[w.tolist() for w in ws])), np.float64)
+                den = conorm(*ws)
                 spread = den != 0.0
                 shares = [w[spread] * (v[spread] / den[spread]) for w in ws]
             if on_zero is not None and not spread.all():
@@ -549,12 +550,8 @@ def mixed(sources, grouping) -> Bba:
 def murphy_average(*sources) -> Bba:
     """Plain arithmetic mean of the sources' masses."""
     frame = _check_sources(sources)
-    out: dict = {}
-    k = len(sources)
-    for s in sources:
-        for bits, v in s.crisp_items():
-            out[bits] = out.get(bits, 0.0) + v / k
-    return Bba._from_masses(frame, out)
+    items = [(bits, v / len(sources)) for s in sources for bits, v in s.crisp_items()]
+    return Bba._from_masses(frame, _sums([b for b, _ in items], [v for _, v in items]))
 
 
 def pcr5(m1: Bba, m2: Bba, model: EmptinessModel | None = None) -> Bba:

@@ -3,9 +3,10 @@
 The classical rules weight every pair of focal sets by the *product* of
 the two masses.  The rules in this module replace that product with a
 T-norm (and, where a renormalising denominator is needed, the dual
-T-conorm).  Because T-norms other than the product are not bilinear,
-the raw outputs generally do not sum to one; each rule documents how it
-deals with that.
+T-conorm), each written once in a table per family that serves floats
+and float64 columns alike.  Because T-norms other than the product are
+not bilinear, the raw outputs generally do not sum to one; each rule
+documents how it deals with that.
 
 :func:`ufr_combine` is the master formula the fixed rules are special
 cases of: pick a set operation for the results, a combiner for the pair
@@ -66,38 +67,33 @@ def _lookup(table: dict, key, what: str):
         raise InputError(f"unknown {what} {key!r}") from None
 
 
+#: Each T-norm and T-conorm on floats or float64 columns.  MIN and MAX
+#: swap their operands because on a tie NumPy returns the second and
+#: Python the first: ``tnorm(MIN, 0.0, -0.0)`` is ``min``'s ``0.0``.
+_TNORMS = {
+    TNorm.MIN: lambda a, b: np.minimum(b, a),
+    TNorm.PRODUCT: operator.mul,
+    TNorm.BOUNDED: lambda a, b: np.maximum(a + b - 1.0, 0.0),
+}
+_TCONORMS = {
+    TConorm.MAX: lambda a, b: np.maximum(b, a),
+    TConorm.PROB_SUM: lambda a, b: a + b - a * b,
+    TConorm.BOUNDED_SUM: lambda a, b: np.minimum(a + b, 1.0),
+}
+
+
 def tnorm(kind: TNorm, a: float, b: float) -> float:
-    if kind is TNorm.MIN:
-        return min(a, b)
-    if kind is TNorm.PRODUCT:
-        return a * b
-    if kind is TNorm.BOUNDED:
-        return max(0.0, a + b - 1.0)
-    raise InputError(f"unknown T-norm {kind!r}")
+    return float(_lookup(_TNORMS, kind, "T-norm")(a, b))
 
 
 def tconorm(kind: TConorm, a: float, b: float) -> float:
-    if kind is TConorm.MAX:
-        return max(a, b)
-    if kind is TConorm.PROB_SUM:
-        return a + b - a * b
-    if kind is TConorm.BOUNDED_SUM:
-        return min(1.0, a + b)
-    raise InputError(f"unknown T-conorm {kind!r}")
-
-
-#: Each T-norm elementwise on float arrays, as :func:`tnorm` on floats.
-_ARRAY_TNORMS = {
-    TNorm.MIN: np.minimum,
-    TNorm.PRODUCT: operator.mul,
-    TNorm.BOUNDED: lambda a, b: np.maximum(0.0, a + b - 1.0),
-}
+    return float(_lookup(_TCONORMS, kind, "T-conorm")(a, b))
 
 
 def _valuation(norm: TNorm):
     """Term valuation for the engine: the T-norm folded over the mass
     columns."""
-    return partial(reduce, _lookup(_ARRAY_TNORMS, norm, "T-norm"))
+    return partial(reduce, _lookup(_TNORMS, norm, "T-norm"))
 
 
 def tcn_conjunctive(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
@@ -125,11 +121,9 @@ def tn_family(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     ``yager`` hands the conflict to total ignorance, ``smets`` leaves it
     on the empty set.  Only ``dempster`` returns a normalised result.
     """
-    if not isinstance(variant, str) or variant not in _VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
+    how = _lookup(_VARIANTS, variant, "variant")
     rescale = _DEMPSTER_RESCALE if variant == "dempster" else None
-    return _rule((m1, m2), model, _VARIANTS[variant], value=_valuation(norm),
-                 rescale=rescale)[0]
+    return _rule((m1, m2), model, how, value=_valuation(norm), rescale=rescale)[0]
 
 
 def _unit_total(normalize: bool = True):
@@ -145,7 +139,8 @@ def tcn_pcr5_original(m1: Bba, m2: Bba, *, norm: TNorm = TNorm.MIN,
     whole assignment is rescaled to sum to one."""
     return _rule(
         (m1, m2), model, "ratio", value=_valuation(norm),
-        conorm=partial(tconorm, conorm or _lookup(DUAL_CONORM, norm, "T-norm")),
+        conorm=_lookup(_TCONORMS, conorm or _lookup(DUAL_CONORM, norm, "T-norm"),
+                       "T-conorm"),
         rescale=_unit_total(),
         on_zero=ZeroDenominator("conflicting pair with zero T-conorm value"))[0]
 
@@ -217,20 +212,14 @@ class UfrConfig:
             if not all(isinstance(e, str) for e in transferable):
                 raise SchemaError("/transferable", "transferable sets must be set expressions")
             transferable = tuple(transferable)
-        for key in ("weight_1", "weight_2"):
-            if not isinstance(doc.get(key, ""), str):
-                raise SchemaError(f"/{key}", f"weight spec must be a string, got {doc[key]!r}")
+        weights = {key: doc.get(key, "source_mass") for key in ("weight_1", "weight_2")}
+        for key, spec in weights.items():
+            if not isinstance(spec, str):
+                raise SchemaError(f"/{key}", f"weight spec must be a string, got {spec!r}")
         if not isinstance(doc.get("normalize", False), bool):
             raise SchemaError("/normalize", "normalize must be true or false")
-        return cls(
-            star=star,
-            combiner=combiner,
-            transferable=transferable,
-            transfer=transfer,
-            weight_1=doc.get("weight_1", "source_mass"),
-            weight_2=doc.get("weight_2", "source_mass"),
-            normalize=doc.get("normalize", False),
-        )
+        return cls(star=star, combiner=combiner, transferable=transferable, transfer=transfer,
+                   normalize=doc.get("normalize", False), **weights)
 
 
 def _weight(spec: str) -> float | None:

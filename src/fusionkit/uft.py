@@ -59,6 +59,7 @@ from .errors import (
     NoOtherHypotheses,
     SchemaError,
     enum_member,
+    is_real,
 )
 from .mass import Bba, _is_strings, discount, make_bba
 from .rules import (_AND, _OR, _PRODUCT, _XOR, ConflictLedger, _check_sources, _dispose,
@@ -309,11 +310,9 @@ class UftResult:
         return self.m_uft.mass(bits)
 
     def _uft_masses_json(self) -> dict:
-        b = self.m_uft
-        if self.model is None:
-            return b.to_json()
-        doc = b.to_json()
-        doc["masses"] = {self.model.name_of(bits): v for bits, v in b.entries}
+        doc = self.m_uft.to_json()
+        if self.model is not None:
+            doc["masses"] = {self.model.name_of(bits): v for bits, v in self.m_uft.entries}
         return doc
 
     def _bba_sections(self) -> dict:
@@ -429,6 +428,10 @@ class RedistContext:
     annotation: Annotation | None = None
     options: UftOptions = field(default_factory=UftOptions)
 
+    def __post_init__(self):
+        if any(x.frame != self.frame for x in (self.model, *self.sources)):
+            raise FrameMismatch("model or source belongs to a different frame")
+
     @cached_property
     def _masses(self) -> tuple[dict, ...]:
         """Each source's masses by focal set."""
@@ -505,13 +508,15 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
     masses sum to the term's mass within (k-1) ulp of it.  The operands
     (one or more) and the result must be bitmasks inside the frame's
     universe, and the mass a finite number."""
+    if not (isinstance(term, (tuple, list)) and len(term) == 3):
+        raise InputError(f"term must be (operands, result, mass), got {term!r}")
     ops, result, p = term
     full = ctx.frame.universe_bits
     masks = [*ops, result] if isinstance(ops, (tuple, list)) and ops else [None]
     if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool) and 0 <= b <= full
                for b in masks):
         raise InputError(f"term operands and result must be bitmasks in 0..{full}")
-    if not (isinstance(p, numbers.Real) and not isinstance(p, bool) and math.isfinite(p)):
+    if not (is_real(p) and math.isfinite(p)):
         raise InputError(f"term mass must be a finite number, got {p!r}")
     route = _route(rel, ctx, result, ops)
     if route is _OPERANDS and len(ops) != len(ctx.sources):
@@ -726,7 +731,7 @@ def scenario_from_json(doc: dict) -> UftScenario:
     alphas = None
     if kind is ReliabilityKind.DISCOUNTS:
         alphas = rdoc.get("alphas")
-        if not (isinstance(alphas, list) and all(map(_is_number, alphas))):
+        if not (isinstance(alphas, list) and all(map(is_real, alphas))):
             raise SchemaError("/reliability/alphas",
                               "discounts need a list of numbers")
         alphas = tuple(alphas)
@@ -770,9 +775,10 @@ def scenario_from_json(doc: dict) -> UftScenario:
 
 def _tree_from_json(tree, ptr: str, n: int):
     """Grouping trees arrive as ["and"|"or", left, right] with 1-based
-    leaves in documents, each of the ``n`` source numbers at most once;
+    leaves in documents, each of the ``n`` source numbers exactly once;
     internally leaves are 0-based indices.  Errors name the numbers as
-    written and point at the offending node."""
+    written and point at the offending node, or at the tree for the
+    lowest source it leaves out."""
     seen: set = set()
 
     def build(node, ptr: str):
@@ -789,9 +795,8 @@ def _tree_from_json(tree, ptr: str, n: int):
             return node[0], build(node[1], f"{ptr}/1"), build(node[2], f"{ptr}/2")
         raise SchemaError(ptr, f"bad grouping node {node!r}")
 
-    return build(tree, ptr)
-
-
-def _is_number(x) -> bool:
-    """An int or float from a JSON document, booleans excluded."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    tree = build(tree, ptr)
+    missing = min(set(range(1, n + 1)) - seen, default=None)
+    if missing is not None:
+        raise SchemaError(ptr, f"source {missing} missing")
+    return tree

@@ -1,5 +1,7 @@
 """Shared builders for recurring fusion scenarios and synthetic images,
-and the one-term proportional split the column split is checked against."""
+and the reference forms the library's table and engine code is checked
+against: the one-term proportional split, the T-norm and T-conorm
+if-chains on floats, and the interval conjunction's loop over entries."""
 
 import math
 
@@ -8,14 +10,18 @@ import pytest
 
 from fusionkit import (
     Annotation,
+    Bba,
     EmptinessModel,
     Frame,
     GrayImage,
     Relationship,
     Reliability,
+    TConorm,
+    TNorm,
     UftScenario,
     make_bba,
 )
+from fusionkit.errors import FrameMismatch, InputError
 
 
 def pytest_collection_modifyitems(items):
@@ -56,6 +62,50 @@ def reference_split(v: float, parts):
         out.append((target, x))
         left -= x
     return out
+
+
+def reference_tnorm(kind, a, b):
+    """Each T-norm on two floats, written out as its own formula."""
+    if kind is TNorm.MIN:
+        return min(a, b)
+    if kind is TNorm.PRODUCT:
+        return a * b
+    if kind is TNorm.BOUNDED:
+        return max(0.0, a + b - 1.0)
+    raise InputError(f"unknown T-norm {kind!r}")
+
+
+def reference_tconorm(kind, a, b):
+    """Each T-conorm on two floats, written out as its own formula."""
+    if kind is TConorm.MAX:
+        return max(a, b)
+    if kind is TConorm.PROB_SUM:
+        return a + b - a * b
+    if kind is TConorm.BOUNDED_SUM:
+        return min(1.0, a + b)
+    raise InputError(f"unknown T-conorm {kind!r}")
+
+
+def reference_conjunctive_intervals(m1, m2):
+    """The interval conjunction as a loop over the two sources' entries:
+    each pair's endpoint products added to its intersection from 0.0,
+    in the order of :func:`itertools.product`."""
+    if m1.frame != m2.frame:
+        raise FrameMismatch("sources disagree on the frame")
+
+    def as_iv(v):
+        return v if isinstance(v, tuple) else (v, v)
+
+    acc: dict = {}
+    for b1, v1 in m1.entries:
+        lo1, hi1 = as_iv(v1)
+        for b2, v2 in m2.entries:
+            lo2, hi2 = as_iv(v2)
+            bits = b1 & b2
+            lo, hi = acc.get(bits, (0.0, 0.0))
+            acc[bits] = (lo + lo1 * lo2, hi + hi1 * hi2)
+    out = {bits: (lo, hi) if lo != hi else lo for bits, (lo, hi) in acc.items()}
+    return Bba._from_masses(m1.frame, out)
 
 
 def two_label_sources(frame=None):

@@ -313,6 +313,26 @@ class TestMalformedScenarios:
         assert (code, out) == (1, "")
         assert err == "error: /grouping/2: source 0 out of range 1..2\n"
 
+    @pytest.mark.parametrize("command, edit, message", [
+        ("fuse", lambda d: d.update(grouping=["and", 1, 2]), "/grouping: source 3 missing"),
+        ("uft", lambda d: d.update(reliability={"kind": "mixed_grouping", "tree": ["or", 2, 3]}),
+         "/reliability/tree: source 1 missing"),
+    ])
+    def test_a_source_left_out_of_the_tree_is_named_at_the_tree(
+            self, command, edit, message, tmp_path):
+        doc = json.loads(pathlib.Path(fixture("three_source_grouped.json")).read_text())
+        edit(doc)
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(doc))
+        argv = ["fuse", "--rule", "mixed", str(path)] if command == "fuse" else ["uft", str(path)]
+        assert run(argv) == (1, "", f"error: {message}\n")
+
+    def test_boolean_mass_fixture(self):
+        code, out, err = run(["fuse", "--rule", "dempster",
+                              fixture("invalid/boolean_mass.json")])
+        assert (code, out) == (1, "")
+        assert err == "error: /sources/0: /masses: mass must be a number, got True\n"
+
     @pytest.mark.parametrize("pair", ["AB", ["A", "B", "A|B"]])
     def test_bad_pair_message(self, pair, tmp_path):
         path = scenario_file(tmp_path, lambda d: d["annotations"][0].update(pair=pair))

@@ -1,10 +1,17 @@
 """Belief mass assignment tests: construction, classification, discounting."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_conjunctive_intervals
 
 from fusionkit import (
+    AtomSet,
     Bba,
     Frame,
     NormClass,
@@ -21,6 +28,7 @@ from fusionkit import (
 from fusionkit.errors import (
     AlphaOutOfRange,
     FrameMismatch,
+    InputError,
     IntervalNotSupported,
     MassAboveOne,
     NegativeMass,
@@ -28,6 +36,7 @@ from fusionkit.errors import (
     UnknownLabel,
     ZeroTotalMass,
 )
+from fusionkit.rules import MAX_TERMS
 
 
 @pytest.fixture
@@ -195,6 +204,74 @@ class TestIntervalCombination:
         for _, v in out.entries:
             lo, hi = v if isinstance(v, tuple) else (v, v)
             assert lo <= hi
+
+
+@st.composite
+def interval_bba_pairs(draw):
+    """Two bbas over 2-4 labels mixing crisp and interval entries, with
+    zero lower endpoints drawn on purpose."""
+    frame = Frame(("A", "B", "C", "D")[:draw(st.integers(2, 4))])
+
+    def value():
+        lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+        if draw(st.booleans()):
+            return lo or 0.5
+        return (lo, draw(st.floats(lo, 1.0)))
+
+    def bba():
+        sets = draw(st.lists(st.integers(0, frame.universe_bits), min_size=1, max_size=6,
+                             unique=True))
+        return make_bba(frame, [(AtomSet(frame, b), value()) for b in sets])
+
+    return bba(), bba()
+
+
+class TestIntervalConjunctionOnTheEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(interval_bba_pairs())
+    def test_equals_the_loop_over_entries(self, pair):
+        out, expected = conjunctive_intervals(*pair), reference_conjunctive_intervals(*pair)
+        assert out == expected
+        assert repr(out.entries) == repr(expected.entries)  # value types and zero signs too
+
+    def test_frame_mismatch_message(self):
+        b1 = make_bba(Frame(("A", "B")), {"A": (0.2, 0.4)})
+        b2 = make_bba(Frame(("A", "C")), {"A": 1.0})
+        with pytest.raises(FrameMismatch, match="^sources disagree on the frame$"):
+            conjunctive_intervals(b1, b2)
+
+    def test_refuses_more_than_max_terms(self):
+        frame = Frame(("A", "B", "C", "D"))
+        n = MAX_TERMS.bit_length() // 2 + 1  # (2**n)**2 > MAX_TERMS
+        b = Bba(frame, tuple((bits, (0.0, 2.0 ** -n)) for bits in range(1, 2 ** n + 1)))
+        with pytest.raises(InputError, match=f"product terms exceed the limit of {MAX_TERMS}"):
+            conjunctive_intervals(b, b)
+
+
+class TestNumbersOnly:
+    """A mass is a real number or a pair of them; booleans and numeric
+    strings are rejected with the mass's own message."""
+
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), (False, "False"), ("0.5", "'0.5'"), (None, "None"),
+        ((True, 0.5), "True"), ((0.1, "0.5"), "'0.5'"),
+    ])
+    def test_non_numbers_are_rejected(self, frame, value, shown):
+        with pytest.raises(SchemaError) as info:
+            make_bba(frame, {"A": value})
+        assert str(info.value) == f"/masses: mass must be a number, got {shown}"
+
+    @pytest.mark.parametrize("value", [np.float64(0.25), np.int64(0), Fraction(1, 4), 1])
+    def test_other_real_numbers_are_accepted(self, frame, value):
+        assert make_bba(frame, {"A": value, "B": 0.5}).mass("A") == float(value)
+
+    @pytest.mark.parametrize("value, error, message", [
+        (10 ** 400, MassAboveOne, "mass inf above 1"),
+        (-10 ** 400, NegativeMass, "mass -inf below 0"),
+    ])
+    def test_an_int_too_large_for_a_float_is_out_of_range(self, frame, value, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            make_bba(frame, {"A": value})
 
 
 class TestFrameMismatch:

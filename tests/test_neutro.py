@@ -6,9 +6,12 @@ import math
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import reference_tconorm, reference_tnorm
 
 from fusionkit import (
     NS_ONE,
@@ -48,7 +51,7 @@ from fusionkit.errors import (
     ZeroNorm,
 )
 from fusionkit.neutro import n_conorm, n_norm
-from fusionkit.tcn import TConorm, TNorm, tconorm, tnorm
+from fusionkit.tcn import TConorm, TNorm
 
 GRID = [round(0.05 * i, 2) for i in range(21)]
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -160,6 +163,35 @@ class TestTripleType:
         with pytest.raises(InputError, match="bad component 'i'"):
             NsTriple.from_json({"t": 0.5, "i": ["x", 0.2], "f": 0.1})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([True, 0, False], "bad component 't': True"),
+        ([0.5, 0, False], "bad component 'f': False"),
+        ({"t": 0.5, "i": [0.1, True], "f": 0.1}, "bad component 'i': True"),
+    ])
+    def test_boolean_json_component_rejected(self, doc, message):
+        with pytest.raises(InputError) as info:
+            NsTriple.from_json(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((True, 0, 0), "component t must be a number or a (lo, hi) pair, got True"),
+        ((0.5, (0.1, False), 0), "component i must be a number or a (lo, hi) pair, "
+                                 "got (0.1, False)"),
+        (("ab", 0, 0), "component t must be a number or a (lo, hi) pair, got 'ab'"),
+        ((0.5, 0.1, (0.1, 0.2, 0.3)), "component f must be a number or a (lo, hi) pair, "
+                                      "got (0.1, 0.2, 0.3)"),
+        ((0.5, None, 0.1), "component i must be a number or a (lo, hi) pair, got None"),
+        ((10 ** 400, 0, 0), "component t is not finite"),
+    ])
+    def test_component_that_is_neither_number_nor_pair(self, args, message):
+        with pytest.raises(InputError) as info:
+            NsTriple(*args)
+        assert str(info.value) == message
+
+    def test_numpy_and_list_components_accepted(self):
+        x = NsTriple(np.float64(0.5), [0.1, np.float64(0.2)], 1)
+        assert x.intervals == ((0.5, 0.5), (0.1, 0.2), (1.0, 1.0))
+
 
 class TestOrder:
     def test_zero_below_one(self):
@@ -263,11 +295,13 @@ def reference_n_op(conjunction: bool, recipe, x, y):
 
     (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
     if conjunction:
-        parts = (iv_op(tnorm, norm, t1, t2), iv_op(tconorm, conorm, i1, i2),
-                 iv_op(tconorm, conorm, f1, f2))
+        parts = (iv_op(reference_tnorm, norm, t1, t2),
+                 iv_op(reference_tconorm, conorm, i1, i2),
+                 iv_op(reference_tconorm, conorm, f1, f2))
     else:
-        parts = (iv_op(tconorm, conorm, t1, t2), iv_op(tnorm, norm, i1, i2),
-                 iv_op(tnorm, norm, f1, f2))
+        parts = (iv_op(reference_tconorm, conorm, t1, t2),
+                 iv_op(reference_tnorm, norm, i1, i2),
+                 iv_op(reference_tnorm, norm, f1, f2))
     return NsTriple(*(lo if lo == hi else (lo, hi) for lo, hi in parts))
 
 
@@ -315,8 +349,9 @@ class TestIntervalBox:
         evaluation gives, bit for bit."""
         norm, conorm = REFERENCE_PAIR[recipe]
         (t1, i1, f1), (t2, i2, f2) = x.intervals, y.intervals
-        for op, t_pair, rest_pair in ((n_norm, (tnorm, norm), (tconorm, conorm)),
-                                      (n_conorm, (tconorm, conorm), (tnorm, norm))):
+        norm_pair, conorm_pair = (reference_tnorm, norm), (reference_tconorm, conorm)
+        for op, t_pair, rest_pair in ((n_norm, norm_pair, conorm_pair),
+                                      (n_conorm, conorm_pair, norm_pair)):
             parts = (endpointwise(*t_pair, t1, t2), endpointwise(*rest_pair, i1, i2),
                      endpointwise(*rest_pair, f1, f2))
             expected = outcome(lambda: NsTriple(*(lo if lo == hi else (lo, hi)
@@ -328,7 +363,7 @@ class TestIntervalBox:
         endpointwise bounds of these unit intervals come out reversed."""
         x = NsTriple(0.5, (0.7469653891501328, 0.746965389150133), 0.5)
         y = NsTriple(0.5, 0.8852550461906246, 0.5)
-        lo, hi = (tconorm(TConorm.PROB_SUM, i, 0.8852550461906246)
+        lo, hi = (reference_tconorm(TConorm.PROB_SUM, i, 0.8852550461906246)
                   for i in x.intervals[1])
         assert lo > hi
         assert n_norm(NsRecipe.ALGEBRAIC_PRODUCT, x, y).intervals[1] == (hi, lo)

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_tnorm
+
 from fusionkit import (
     Bba,
     EmptinessModel,
@@ -43,7 +45,7 @@ from fusionkit.rules import (
     _marks_listed,
     _pool,
 )
-from fusionkit.tcn import TNorm, _valuation, tnorm
+from fusionkit.tcn import TNorm, _valuation
 
 LABELS = ("A", "B", "C", "D", "E", "F")
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -118,7 +120,7 @@ def pools(draw):
     if norm is None:
         values = math.prod, _PRODUCT
     else:
-        values = partial(reduce, partial(tnorm, norm)), _valuation(norm)
+        values = partial(reduce, partial(reference_tnorm, norm)), _valuation(norm)
     return sources, star, marks, values
 
 

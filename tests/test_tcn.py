@@ -6,12 +6,21 @@ values.  The master formula tests check that the right parameter
 choices collapse onto the classical rules.
 """
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exclusive_triple_sources, overlap_sources
+from conftest import (
+    exclusive_triple_sources,
+    overlap_sources,
+    reference_tconorm,
+    reference_tnorm,
+)
 
 from fusionkit import (
     DUAL_CONORM,
@@ -41,6 +50,7 @@ from fusionkit.errors import (
     SchemaError,
     TotalConflict,
 )
+from fusionkit.tcn import _TCONORMS, _TNORMS
 
 GRID = [round(0.05 * i, 2) for i in range(21)]
 
@@ -103,6 +113,58 @@ class TestOperatorAxioms:
                 assert tconorm(dual, a, b) == pytest.approx(
                     1.0 - tnorm(kind, 1.0 - a, 1.0 - b), abs=1e-12
                 )
+
+
+#: Operands the one operator table is pinned at: both zeros (the
+#: strategies below never draw -0.0 on their own), the least subnormal,
+#: the float below 1, 1, and values above 1 (N-norm components may
+#: exceed 1).
+SPECIALS = [0.0, -0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0, 2.0, 3.0]
+OPERANDS = st.one_of(st.sampled_from(SPECIALS), st.floats(0.0, 3.0))
+OPERATORS = ([(tnorm, _TNORMS, reference_tnorm, kind) for kind in TNorm]
+             + [(tconorm, _TCONORMS, reference_tconorm, kind) for kind in TConorm])
+OPERATOR_IDS = [kind.value for kind in [*TNorm, *TConorm]]
+
+
+def same_float(x, y) -> bool:
+    """Equal bit for bit, the sign of zero included."""
+    return type(x) is float and x.hex() == float(y).hex()
+
+
+def check_both_forms(operator, pairs) -> None:
+    """Both forms of ``operator`` equal its reference on ``pairs``: the
+    scalar form pair by pair, the column form on all of them at once.
+    A failure lists the pairs that differ."""
+    scalar, table, reference, kind = operator
+    expected = [reference(kind, x, y) for x, y in pairs]
+    xs, ys = (np.array(c, np.float64) for c in zip(*pairs))
+    for got in ([scalar(kind, x, y) for x, y in pairs], table[kind](xs, ys).tolist()):
+        assert [p for p, g, e in zip(pairs, got, expected) if not same_float(g, e)] == []
+
+
+class TestOneOperatorTable:
+    """Each T-norm and T-conorm is one table entry serving floats and
+    columns; both forms equal the written-out formulas exactly."""
+
+    @pytest.mark.parametrize("operator", OPERATORS, ids=OPERATOR_IDS)
+    def test_both_forms_on_every_pair_of_specials(self, operator):
+        check_both_forms(operator, list(itertools.product(SPECIALS, repeat=2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(OPERATORS), st.lists(st.tuples(OPERANDS, OPERANDS), min_size=1))
+    def test_both_forms_equal_the_reference(self, operator, pairs):
+        check_both_forms(operator, pairs)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tnorm("min", 0.5, 0.5), "unknown T-norm 'min'"),
+        (lambda: tconorm("max", 0.5, 0.5), "unknown T-conorm 'max'"),
+        (lambda: tconorm(TNorm.MIN, 0.5, 0.5), "unknown T-conorm <TNorm.MIN: 'min'>"),
+        (lambda: tnorm([], 0.5, 0.5), "unknown T-norm []"),
+    ], ids=["norm_value", "conorm_value", "norm_as_conorm", "unhashable"])
+    def test_unknown_kinds_name_themselves(self, call, message):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestMinConjunctive:
@@ -438,9 +500,13 @@ def _two_labels():
 @pytest.mark.parametrize("call, message", [
     (lambda b: tcn_conjunctive(b, b, norm="min"), "unknown T-norm 'min'"),
     (lambda b: tcn_pcr5_original(b, b, norm="min"), "unknown T-norm 'min'"),
+    (lambda b: tcn_pcr5_original(b, b, conorm="max"), "unknown T-conorm 'max'"),
+    (lambda b: tn_family(b, b, variant="median"), "unknown variant 'median'"),
+    (lambda b: tn_family(b, b, variant=["dempster"]), "unknown variant ['dempster']"),
     (lambda b: ufr_combine(b, b, UfrConfig(transfer="discard")), "unknown transfer 'discard'"),
     (lambda b: ufr_combine(b, b, UfrConfig(star="conjunctive")), "unknown star 'conjunctive'"),
-], ids=["tcn_conjunctive", "tcn_pcr5_original", "ufr_transfer", "ufr_star"])
+], ids=["tcn_conjunctive", "tcn_pcr5_original", "tcn_pcr5_original_conorm",
+        "tn_family_variant", "tn_family_unhashable_variant", "ufr_transfer", "ufr_star"])
 def test_strict_enum_fields_reject_their_values(call, message):
     """Direct calls take members only; a value is named in an InputError,
     never leaked as a KeyError or read as another member."""

@@ -55,7 +55,13 @@ from fusionkit import (
     uft_fuse,
     uft_fuse_dynamic,
 )
-from fusionkit.errors import FusionKitError, InputError, NoOtherHypotheses, SchemaError
+from fusionkit.errors import (
+    FrameMismatch,
+    FusionKitError,
+    InputError,
+    NoOtherHypotheses,
+    SchemaError,
+)
 from fusionkit import uft as uft_module
 from fusionkit.cli import main as cli_main
 from fusionkit.rules import _union_escalate
@@ -479,6 +485,25 @@ class TestRedistribute:
     def test_malformed_terms_are_rejected(self, term, rel):
         with pytest.raises(InputError, match="^term "):
             redistribute(term, rel, self.ctx())
+
+    @pytest.mark.parametrize("term", [((1, 2), 0), ((1, 2), 0, 0.25, 9), 5, None, "AB&"],
+                             ids=repr)
+    def test_a_term_that_is_not_a_triple_is_rejected(self, term):
+        with pytest.raises(InputError) as info:
+            redistribute(term, Relationship.CONSENSUS, self.ctx())
+        assert str(info.value) == f"term must be (operands, result, mass), got {term!r}"
+
+    def test_context_sources_of_another_frame_are_rejected(self):
+        """Masses would be looked up by the other frame's bitmasks."""
+        other = make_bba(Frame(("A", "B", "C")), {"A": 0.5, "B|C": 0.5})
+        for sources in ((other, other), (self.s1, other)):
+            with pytest.raises(FrameMismatch, match="^model or source belongs to a different frame$"):
+                RedistContext(self.frame, self.model, sources)
+
+    def test_context_model_of_another_frame_is_rejected(self):
+        model = EmptinessModel.free(Frame(("A", "B", "C")))
+        with pytest.raises(FrameMismatch, match="^model or source belongs to a different frame$"):
+            RedistContext(self.frame, model, (self.s1, self.s2))
 
     def test_side_rejected_for_other_relationships(self):
         a, b = self.frame.atoms_of("A"), self.frame.atoms_of("B")
