@@ -19,6 +19,7 @@ All types here are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -121,16 +122,26 @@ class Frame:
         """Total ignorance: the union of every hypothesis."""
         return AtomSet(self, self.universe_bits)
 
-    def atoms_of(self, expr: "str | AtomSet") -> "AtomSet":
-        if isinstance(expr, AtomSet):
-            if expr.frame != self:
-                raise FrameMismatch("expression belongs to a different frame")
-            return expr
-        return parse_expr(self, expr)
+    def atoms_of(self, key: "str | AtomSet | int") -> "AtomSet":
+        """The one reader of a set key: expression text, an AtomSet of this
+        frame, or a bitmask read as ``AtomSet(self, key)``."""
+        if isinstance(key, str):
+            return parse_expr(self, key)
+        if isinstance(key, AtomSet):
+            if key.frame != self:
+                raise FrameMismatch("set belongs to a different frame")
+            return key
+        return AtomSet(self, key)
 
     def name_of(self, a: "AtomSet | int") -> str:
         bits = a.bits if isinstance(a, AtomSet) else a
         return _format_bits(self.labels, bits)
+
+
+def _is_int(bits) -> bool:
+    """Any :class:`numbers.Integral` but a bool.  Hot callers test
+    ``type(bits) is int`` first: the ABC check alone costs more."""
+    return isinstance(bits, numbers.Integral) and not isinstance(bits, bool)
 
 
 def build_frame(labels, world: World | str = World.CLOSED) -> Frame:
@@ -146,6 +157,8 @@ class AtomSet:
     bits: int
 
     def __post_init__(self):
+        if type(self.bits) is not int and not _is_int(self.bits):
+            raise InputError(f"bits must be an int, got {self.bits!r}")
         if not 0 <= self.bits <= self.frame.universe_bits:
             raise InputError(f"bits {self.bits:#x} outside the frame universe")
 
@@ -245,6 +258,8 @@ class EmptinessModel:
     forced_empty_bits: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.forced_empty_bits):
+            raise InputError(f"forced-empty bits must be an int, got {self.forced_empty_bits!r}")
         if not 0 <= self.forced_empty_bits <= self.frame.universe_bits:
             raise InputError("forced-empty bits outside the frame universe")
 
@@ -275,16 +290,13 @@ class EmptinessModel:
         return self.forced_empty_bits == 0
 
     def is_empty(self, a: AtomSet) -> bool:
-        if a.frame != self.frame:
-            raise FrameMismatch("set belongs to a different frame")
-        return a.bits & ~self.forced_empty_bits == 0
+        return self.frame.atoms_of(a).bits & ~self.forced_empty_bits == 0
 
-    def reduce(self, a: AtomSet) -> AtomSet:
-        """Drop forced-empty atoms, mapping a set to its model
-        equivalence-class representative."""
-        if a.frame != self.frame:
-            raise FrameMismatch("set belongs to a different frame")
-        return AtomSet(self.frame, a.bits & ~self.forced_empty_bits)
+    def reduce(self, a: "AtomSet | str | int") -> AtomSet:
+        """Drop forced-empty atoms, mapping a set (any key
+        :meth:`Frame.atoms_of` reads) to its model equivalence-class
+        representative."""
+        return AtomSet(self.frame, self.frame.atoms_of(a).bits & ~self.forced_empty_bits)
 
     def name_of(self, a: "AtomSet | int") -> str:
         """Readable name for an equivalence class modulo this model.

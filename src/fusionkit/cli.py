@@ -107,15 +107,11 @@ def emit_table(b: Bba, fmt: str, namer=None) -> str:
     return head + "\n" + body
 
 
-def _print_result(b: Bba, fmt: str) -> None:
-    print(emit_table(b, fmt))
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -148,7 +144,7 @@ def _cmd_fuse(args) -> int:
     rule = RuleId(args.rule)
     if rule is RuleId.CONJUNCTIVE:
         result, ledger = conjunctive(*sources, model=model)
-        _print_result(result, args.format)
+        print(emit_table(result, args.format))
         if args.format != "csv" and len(ledger):
             if args.format == "json":
                 print(json.dumps({"ledger": ledger.to_json()}, indent=2))
@@ -160,7 +156,7 @@ def _cmd_fuse(args) -> int:
         if "grouping" not in doc:
             raise InputError("the mixed rule needs a \"grouping\" block")
         grouping = _tree_from_json(doc["grouping"], "/grouping", len(sources))
-    _print_result(fuse_many(rule, sources, model, grouping), args.format)
+    print(emit_table(fuse_many(rule, sources, model, grouping), args.format))
     return 0
 
 
@@ -203,7 +199,7 @@ def _cmd_tcn(args) -> int:
     norm = TNorm(args.tnorm)
     if args.variant == "conjunctive":
         result, ledger = tcn_conjunctive(m1, m2, norm=norm, model=model)
-        _print_result(result, args.format)
+        print(emit_table(result, args.format))
         if args.format == "text" and len(ledger):
             print(f"conflict mass: {ledger.total():.3f}")
         return 0
@@ -214,7 +210,7 @@ def _cmd_tcn(args) -> int:
         result = tcn_pcr5_original(m1, m2, norm=norm, conorm=conorm, model=model)
     else:  # pcr5v2
         result = pcr5v2_tn(m1, m2, norm=norm, model=model, normalize=args.normalize)
-    _print_result(result, args.format)
+    print(emit_table(result, args.format))
     return 0
 
 
@@ -224,7 +220,7 @@ def _cmd_ufr(args) -> int:
     if len(sources) != 2:
         raise InputError("the master rule combines exactly two sources")
     config = UfrConfig.from_json(doc.get("ufr", {}))
-    _print_result(ufr_combine(sources[0], sources[1], config, model), args.format)
+    print(emit_table(ufr_combine(sources[0], sources[1], config, model), args.format))
     return 0
 
 

@@ -3,9 +3,11 @@
 Two branches matter to callers: :class:`InputError` (bad labels, masses,
 parameters, schemas -- CLI exit code 1) and :class:`ComputationError`
 (well-formed input on which the requested operation is undefined -- CLI
-exit code 2).
+exit code 2).  :func:`real` is the one reader of a number from outside
+the library; each boundary keeps its own message and range check.
 """
 
+import math
 import numbers
 
 
@@ -155,8 +157,14 @@ def enum_member(kind, value, what: str, pointer: str | None = None):
                else SchemaError(pointer, message)) from None
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a :class:`numbers.Real` other than a bool
-    (floats and ints first: the ABC check alone is several times slower)."""
-    return type(value) in (float, int) or (isinstance(value, numbers.Real)
-                                           and not isinstance(value, bool))
+def real(value) -> float | None:
+    """``value`` as a float if it is a :class:`numbers.Real` but not a bool,
+    else None; an int too large for a float is the infinity of its sign.
+    Floats and ints are tested first: the ABC check alone is slower."""
+    if type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                       and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return None

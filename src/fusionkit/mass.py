@@ -17,14 +17,13 @@ from enum import Enum
 from .algebra import AtomSet, Frame, World
 from .errors import (
     AlphaOutOfRange,
-    FrameMismatch,
     IntervalNotSupported,
     MassAboveOne,
     NegativeMass,
     SchemaError,
     ZeroTotalMass,
     enum_member,
-    is_real,
+    real,
 )
 
 #: Tolerance for crisp classification decisions.
@@ -38,13 +37,10 @@ class NormClass(Enum):
 
 
 def _number(v) -> float:
-    """A real number (not a boolean) as a float; too large an int is an infinity."""
-    if not is_real(v):
+    """A mass read by :func:`errors.real`; too large an int is an infinity."""
+    x = real(v)
+    if x is None:
         raise SchemaError("/masses", f"mass must be a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:
-        x = math.inf if v > 0 else -math.inf
     if math.isnan(x):
         raise SchemaError("/masses", "mass is NaN")
     return x
@@ -100,15 +96,9 @@ class Bba:
         return cls(frame, items)
 
     def mass(self, key) -> "float | tuple[float, float]":
-        """Mass of a set given as expression text, AtomSet, or raw bits."""
-        if isinstance(key, AtomSet):
-            if key.frame != self.frame:
-                raise FrameMismatch("set belongs to a different frame")
-            bits = key.bits
-        elif isinstance(key, str):
-            bits = self.frame.atoms_of(key).bits
-        else:
-            bits = int(key)
+        """Mass of a set given by any key :meth:`Frame.atoms_of` reads: text,
+        an AtomSet of this frame, or a bitmask inside the frame's universe."""
+        bits = self.frame.atoms_of(key).bits
         for b, v in self.entries:
             if b == bits:
                 return v
@@ -227,14 +217,15 @@ def discount(b: Bba, alpha: float) -> Bba:
 
     Every focal mass is scaled by ``alpha`` and the removed mass is
     poured onto total ignorance, so the total is preserved.  ``alpha``
-    of 1 is the identity; 0 yields the vacuous bba.
+    of 1 is the identity; 0 yields the vacuous bba.  It is read by :func:`errors.real`.
     """
-    if not 0 <= alpha <= 1:
-        raise AlphaOutOfRange(f"discount factor {alpha} outside [0, 1]")
+    a = real(alpha)
+    if a is None or not 0 <= a <= 1:
+        raise AlphaOutOfRange(f"discount factor {alpha!r} outside [0, 1]")
     total = b.total()  # crisp only
-    out = {bits: v * alpha for bits, v in b.entries}
+    out = {bits: v * a for bits, v in b.entries}
     full = b.frame.universe_bits
-    out[full] = out.get(full, 0.0) + (1 - alpha) * total
+    out[full] = out.get(full, 0.0) + (1 - a) * total
     return Bba._from_masses(b.frame, out)
 
 

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm,
-                     is_real)
+from .errors import InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm, real
 from .tcn import DUAL_CONORM, TNorm, _lookup, tconorm, tnorm
 
 
@@ -51,13 +50,10 @@ class NsTriple:
         for name in ("t", "i", "f"):
             c = getattr(self, name)
             pair = isinstance(c, (tuple, list)) and len(c) == 2
-            if not (all(map(is_real, c)) if pair else is_real(c)):
+            lo, hi = map(real, c) if pair else (real(c),) * 2
+            if lo is None or hi is None:
                 raise InputError(f"component {name} must be a number or a (lo, hi) pair, "
                                  f"got {c!r}")
-            try:
-                lo, hi = _iv(c)
-            except OverflowError:  # an int too large for a float
-                lo = hi = math.inf
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InputError(f"component {name} is not finite")
             if lo < 0.0:
@@ -87,9 +83,10 @@ class NsTriple:
     @classmethod
     def from_json(cls, doc) -> "NsTriple":
         def number(key, v):
-            if is_real(v):
-                return float(v)
-            raise InputError(f"bad component {key!r}: {v!r}")
+            x = real(v)
+            if x is None:
+                raise InputError(f"bad component {key!r}: {v!r}")
+            return x
 
         if isinstance(doc, (list, tuple)) and len(doc) == 3:
             return cls(*(number(key, v) for key, v in zip("tif", doc)))
@@ -365,6 +362,9 @@ def _check_lengths(*vectors):
     for v in vectors[1:]:
         if len(v) != k:
             raise LengthMismatch("component vectors differ in length")
+    bad = [x for v in vectors for x in v if type(x) is not float and real(x) is None]
+    if bad:
+        raise InputError(f"component vector entry must be a number, got {bad[0]!r}")
     return k
 
 

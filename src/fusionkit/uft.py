@@ -42,8 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -51,7 +50,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .algebra import AtomSet, EmptinessModel, Frame, World
+from .algebra import AtomSet, EmptinessModel, Frame, World, _is_int
 from .errors import (
     FrameMismatch,
     InputError,
@@ -59,7 +58,7 @@ from .errors import (
     NoOtherHypotheses,
     SchemaError,
     enum_member,
-    is_real,
+    real,
 )
 from .mass import Bba, _is_strings, discount, make_bba
 from .rules import (_AND, _OR, _PRODUCT, _XOR, ConflictLedger, _check_sources, _dispose,
@@ -161,10 +160,9 @@ class Reliability:
 
     @classmethod
     def discounts(cls, alphas):
-        try:
-            alphas = tuple(float(a) for a in alphas)
-        except (TypeError, ValueError, OverflowError):
-            raise InputError("discount factors must be numbers") from None
+        alphas = tuple(map(real, alphas)) if isinstance(alphas, Iterable) else None
+        if alphas is None or None in alphas:
+            raise InputError("discount factors must be numbers")
         return cls(ReliabilityKind.DISCOUNTS, alphas=alphas)
 
 
@@ -300,14 +298,10 @@ class UftResult:
 
         The fused assignment lives on equivalence classes, so a query
         for any member of a class (say A when A and B are disjoint)
-        returns the class mass.
+        returns the class mass.  The key is read by :meth:`Frame.atoms_of`:
+        expression text, an AtomSet of the frame, or a bitmask.
         """
-        frame = self.m_uft.frame
-        a = frame.atoms_of(key) if not isinstance(key, int) else AtomSet(frame, key)
-        bits = a.bits if isinstance(a, AtomSet) else a
-        if self.model is not None:
-            bits &= ~self.model.forced_empty_bits
-        return self.m_uft.mass(bits)
+        return self.m_uft.mass(key if self.model is None else self.model.reduce(key))
 
     def _uft_masses_json(self) -> dict:
         doc = self.m_uft.to_json()
@@ -513,10 +507,10 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
     ops, result, p = term
     full = ctx.frame.universe_bits
     masks = [*ops, result] if isinstance(ops, (tuple, list)) and ops else [None]
-    if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool) and 0 <= b <= full
-               for b in masks):
+    if not all(_is_int(b) and 0 <= b <= full for b in masks):
         raise InputError(f"term operands and result must be bitmasks in 0..{full}")
-    if not (is_real(p) and math.isfinite(p)):
+    x = real(p)
+    if x is None or not math.isfinite(x):
         raise InputError(f"term mass must be a finite number, got {p!r}")
     route = _route(rel, ctx, result, ops)
     if route is _OPERANDS and len(ops) != len(ctx.sources):
@@ -524,7 +518,7 @@ def redistribute(term, rel: Relationship, ctx: RedistContext):
     bits = [np.array([b], np.uint64) for b in ops]
     masses = [np.array([m.get(b, 0.0)]) for m, b in zip(ctx._masses, ops)]  # _OPERANDS only
     row = np.zeros(1, np.intp)
-    table = _Terms(bits, masses, row, np.array([result], np.uint64), np.array([p], np.float64))
+    table = _Terms(bits, masses, row, np.array([result], np.uint64), np.array([x], np.float64))
     return list(zip(*_route_terms(table, bits, [route], row, ctx).pairs()))
 
 
@@ -643,13 +637,9 @@ def reroute_mass(b: Bba, source_set, targets) -> Bba:
 
 
 def _target_weight(w) -> float:
-    if isinstance(w, numbers.Real):
-        try:
-            x = float(w)
-        except OverflowError:
-            x = math.inf
-        if math.isfinite(x) and x >= 0:
-            return x
+    x = real(w)
+    if x is not None and math.isfinite(x) and x >= 0:
+        return x
     raise InputError(f"target weight must be a finite number >= 0, got {w!r}")
 
 
@@ -731,10 +721,10 @@ def scenario_from_json(doc: dict) -> UftScenario:
     alphas = None
     if kind is ReliabilityKind.DISCOUNTS:
         alphas = rdoc.get("alphas")
-        if not (isinstance(alphas, list) and all(map(is_real, alphas))):
+        alphas = tuple(map(real, alphas)) if isinstance(alphas, list) else None
+        if alphas is None or None in alphas:
             raise SchemaError("/reliability/alphas",
                               "discounts need a list of numbers")
-        alphas = tuple(alphas)
     reliability = Reliability(kind, grouping=grouping, alphas=alphas)
 
     annotations = []

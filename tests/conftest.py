@@ -1,9 +1,11 @@
 """Shared builders for recurring fusion scenarios and synthetic images,
 and the reference forms the library's table and engine code is checked
 against: the one-term proportional split, the T-norm and T-conorm
-if-chains on floats, and the interval conjunction's loop over entries."""
+if-chains on floats, the interval conjunction's loop over entries, and
+the test of what counts as a number."""
 
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -62,6 +64,13 @@ def reference_split(v: float, parts):
         out.append((target, x))
         left -= x
     return out
+
+
+def reference_is_real(value) -> bool:
+    """Whether ``value`` is a :class:`numbers.Real` other than a bool: the
+    values ``fusionkit.errors.real`` reads as a float."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
 
 
 def reference_tnorm(kind, a, b):

@@ -11,6 +11,7 @@ nested search that fixes which candidate name wins.
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from fusionkit import (
 from fusionkit.errors import (
     DuplicateLabel,
     ExprSyntaxError,
+    FrameMismatch,
     InputError,
     TooFewHypotheses,
     TooManyHypotheses,
@@ -469,3 +471,48 @@ class TestFrameBasics:
         frame = Frame(LABELS3)
         assert frame.singleton("B") == frame.atoms_of("B")
         assert frame.label_index("C") == 2
+
+
+class TestBitmaskKeys:
+    """A bitmask is an int (any Integral but a bool); anything else is an
+    InputError, not a bare TypeError or a set that fails later."""
+
+    @pytest.mark.parametrize("bits", ["3", 1.5, True, False, None, np.float64(1.0), [1]],
+                             ids=repr)
+    def test_atom_set_bits_that_are_not_an_int_are_refused(self, bits):
+        with pytest.raises(InputError) as info:
+            AtomSet(Frame(("A", "B")), bits)
+        assert str(info.value) == f"bits must be an int, got {bits!r}"
+
+    @pytest.mark.parametrize("bits", [1.5, True, "0"], ids=repr)
+    def test_forced_empty_bits_that_are_not_an_int_are_refused(self, bits):
+        with pytest.raises(InputError) as info:
+            EmptinessModel(Frame(("A", "B")), bits)
+        assert str(info.value) == f"forced-empty bits must be an int, got {bits!r}"
+
+    @pytest.mark.parametrize("bits", [np.uint64(4), np.int64(4)], ids=repr)
+    def test_numpy_ints_are_bitmasks(self, bits):
+        frame = Frame(("A", "B"))
+        assert AtomSet(frame, bits) == frame.atoms_of("A&B")
+        assert EmptinessModel(frame, bits).is_empty(frame.atoms_of("A&B"))
+
+    def test_atoms_of_reads_text_atom_sets_and_bitmasks(self):
+        frame = Frame(LABELS3)
+        a = frame.atoms_of("A&~B")
+        assert frame.atoms_of(a) is a
+        assert frame.atoms_of(a.bits) == a
+
+    @pytest.mark.parametrize("key", [1.9, None, True], ids=repr)
+    def test_atoms_of_refuses_other_keys(self, key):
+        with pytest.raises(InputError, match="^bits must be an int"):
+            Frame(LABELS3).atoms_of(key)
+
+    def test_model_reduce_and_is_empty_read_any_set_key(self):
+        frame = Frame(("A", "B"))
+        model = EmptinessModel.from_exprs(frame, ("A&B",))
+        a_and_b = frame.atoms_of("A&B")
+        for key in ("A&B", a_and_b, a_and_b.bits):
+            assert model.is_empty(key)
+            assert model.reduce(key) == frame.empty()
+        with pytest.raises(FrameMismatch, match="^set belongs to a different frame$"):
+            model.reduce(Frame(("A", "C")).atoms_of("A"))

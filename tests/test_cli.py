@@ -566,6 +566,13 @@ class TestExitCodes:
         assert code == 1
         assert "invalid JSON" in err
 
+    def test_an_integer_too_long_to_convert_is_invalid_json(self, tmp_path):
+        path = tmp_path / "long_int.json"
+        path.write_text('{"frame": ["A", "B"], "sources": [{"A": %s}, {"B": 1}]}' % ("1" * 5000))
+        code, out, err = run(["fuse", "--rule", "dempster", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: invalid JSON (")
+
     def test_missing_file(self):
         code, _, err = run(["fuse", "--rule", "conjunctive",
                             fixture("missing.json")])

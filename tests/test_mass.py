@@ -1,6 +1,7 @@
 """Belief mass assignment tests: construction, classification, discounting."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -280,3 +281,58 @@ class TestFrameMismatch:
         b2 = make_bba(Frame(("A", "C")), {"A": 1.0})
         with pytest.raises(FrameMismatch):
             conjunctive(b1, b2)
+
+
+class TestDiscountFactor:
+    """``discount`` reads its factor as every mass is read: a real number
+    other than a bool, refused with its own message otherwise."""
+
+    @pytest.mark.parametrize("alpha", ["0.5", True, False, None, Decimal("0.5")], ids=repr)
+    def test_a_factor_that_is_not_a_number_is_refused(self, frame, alpha):
+        b = make_bba(frame, {"A": 0.6, "B": 0.4})
+        with pytest.raises(AlphaOutOfRange) as info:
+            discount(b, alpha)
+        assert str(info.value) == f"discount factor {alpha!r} outside [0, 1]"
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.8), Fraction(4, 5)], ids=repr)
+    def test_other_real_factors_give_the_float_result(self, frame, alpha):
+        b = make_bba(frame, {"A": 0.6, "B": 0.4})
+        assert discount(b, alpha) == discount(b, 0.8)
+
+    def test_integer_factors_are_the_endpoints(self, frame):
+        b = make_bba(frame, {"A": 0.6, "B": 0.4})
+        assert discount(b, 1) == discount(b, 1.0) == b
+        assert discount(b, 0) == vacuous(frame)
+
+
+class TestSetKeys:
+    """``Bba.mass`` reads its key through ``Frame.atoms_of``."""
+
+    @pytest.fixture
+    def b(self, frame):
+        return make_bba(frame, {"A": 0.4, "A&B": 0.6})
+
+    @pytest.mark.parametrize("key", ["A&B", np.uint64(4), np.int64(4), 4], ids=repr)
+    def test_text_and_bitmask_keys(self, b, key):
+        assert b.mass(key) == 0.6
+
+    def test_an_atom_set_key(self, b, frame):
+        assert b.mass(frame.atoms_of("A&B")) == 0.6
+        with pytest.raises(FrameMismatch, match="^set belongs to a different frame$"):
+            b.mass(Frame(("A", "C")).atoms_of("A"))
+
+    @pytest.mark.parametrize("key", [1.9, None, True, [4]], ids=repr)
+    def test_a_key_that_is_neither_text_nor_a_set_nor_an_int_is_refused(self, b, key):
+        with pytest.raises(InputError) as info:
+            b.mass(key)
+        assert str(info.value) == f"bits must be an int, got {key!r}"
+
+    def test_a_bitmask_outside_the_universe_is_refused(self, b):
+        with pytest.raises(InputError) as info:
+            b.mass(99)
+        assert str(info.value) == "bits 0x63 outside the frame universe"
+
+    def test_make_bba_reads_its_keys_the_same_way(self, frame):
+        assert make_bba(frame, {4: 0.6, "A": 0.4}) == make_bba(frame, {"A&B": 0.6, "A": 0.4})
+        with pytest.raises(InputError, match="^bits must be an int, got None$"):
+            make_bba(frame, {None: 0.5})

@@ -655,3 +655,30 @@ class TestVector:
         ))
         with pytest.raises(IntervalNotSupported):
             v.component("t")
+
+
+class TestOutsideNumbers:
+    """Components and k-law entries are read by ``errors.real``: what it
+    refuses is an InputError, and an int too large for a float is an
+    infinity, refused as one."""
+
+    @pytest.mark.parametrize("doc", [[10 ** 400, 0, 0], {"t": [0, 10 ** 400], "i": 0, "f": 0}],
+                             ids=["list", "interval"])
+    def test_an_int_too_large_for_a_float_is_not_finite(self, doc):
+        with pytest.raises(InputError, match="^component t is not finite$"):
+            NsTriple.from_json(doc)
+
+    @pytest.mark.parametrize("call", [
+        lambda: klaw_same([1, "2"]),
+        lambda: klaw_same([True, 2]),
+        lambda: klaw_mixed([1, 2], [None, 1]),
+        lambda: klaw3([0.5, 0.2, 0.1], [0.1, 0.2, 0.3], [0.4, np.bool_(True), 0.1]),
+    ], ids=["string", "bool", "none", "numpy-bool"])
+    def test_k_law_entries_that_are_not_numbers_are_refused(self, call):
+        with pytest.raises(InputError, match="^component vector entry must be a number, got "):
+            call()
+
+    def test_k_law_keeps_integer_and_numpy_entries(self):
+        assert klaw_same([1, 2]) == 2
+        assert klaw_mixed([1, np.float64(0.5)], [np.int64(2), 0.25]) == klaw_mixed(
+            [1.0, 0.5], [2.0, 0.25])

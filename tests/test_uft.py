@@ -15,6 +15,7 @@ import re
 from dataclasses import astuple
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1215,3 +1216,62 @@ class TestWriteJson:
         for audit, deferred in (((), ()), (records, ((0, -0.0), (3, 1e16)))):
             result = UftResult(b, b, b, b, b, audit, deferred, model)
             assert result.write_json() == generic_json(result)
+
+
+class TestOutsideValues:
+    """Each number the scenario layer takes is read by ``errors.real`` and
+    each set key by ``Frame.atoms_of``; what they refuse is an InputError
+    with the site's own message."""
+
+    def test_result_mass_reads_text_sets_and_bitmasks(self):
+        frame, s1, s2 = two_label_sources()
+        r = fuse_pair(frame, s1, s2, None, Relationship.CONSENSUS)
+        a_and_b = frame.atoms_of("A&B")
+        assert r.mass("A&B") == r.mass(a_and_b) == r.mass(a_and_b.bits) > 0.0
+
+    @pytest.mark.parametrize("key", [1.9, None, True], ids=repr)
+    def test_result_mass_refuses_other_keys(self, key):
+        frame, s1, s2 = two_label_sources()
+        r = fuse_pair(frame, s1, s2, None, Relationship.CONSENSUS)
+        with pytest.raises(InputError, match="^bits must be an int"):
+            r.mass(key)
+
+    @pytest.mark.parametrize("p", [10 ** 400, -10 ** 400], ids=["+big", "-big"])
+    def test_a_term_mass_too_large_for_a_float_is_refused(self, p):
+        frame, s1, s2 = two_label_sources()
+        ctx = RedistContext(frame, EmptinessModel.free(frame), (s1, s2))
+        with pytest.raises(InputError, match="^term mass must be a finite number"):
+            redistribute(((1, 2), 0, p), Relationship.CONSENSUS, ctx)
+
+    def test_a_boolean_target_weight_is_refused(self):
+        b = make_bba(Frame(("A", "B")), {"A&B": 0.5, "A": 0.5})
+        with pytest.raises(InputError, match="^target weight must be a finite number"):
+            reroute_mass(b, "A&B", [("A", True), ("B", 1.0)])
+
+    def test_numpy_and_integer_target_weights_are_numbers(self):
+        b = make_bba(Frame(("A", "B")), {"A&B": 0.5, "A": 0.5})
+        want = reroute_mass(b, "A&B", [("A", 1.0), ("B", 3.0)])
+        assert reroute_mass(b, "A&B", [("A", np.float64(1.0)), ("B", 3)]) == want
+
+    @pytest.mark.parametrize("alphas", [["0.5", True], [1.0, None], 0.5, "1"], ids=repr)
+    def test_discount_factors_that_are_not_numbers_are_refused(self, alphas):
+        with pytest.raises(InputError, match="^discount factors must be numbers$"):
+            Reliability.discounts(alphas)
+
+    def test_discount_factors_are_read_as_floats(self):
+        alphas = Reliability.discounts((1, np.float64(0.8), 10 ** 400)).alphas
+        assert alphas == (1.0, 0.8, math.inf)
+        assert all(type(a) is float for a in alphas)
+
+    @pytest.mark.parametrize("alphas", [["0.5", 1], [1, None], "0.5", {"0": 1}], ids=repr)
+    def test_document_discounts_that_are_not_numbers_are_refused(self, alphas):
+        doc = dict(TestJsonScenario.DOC, reliability={"kind": "discounts", "alphas": alphas})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_json(doc)
+        assert str(exc.value) == "/reliability/alphas: discounts need a list of numbers"
+
+    def test_integer_document_discounts_fuse_as_floats(self):
+        docs = [dict(TestJsonScenario.DOC, reliability={"kind": "discounts", "alphas": a})
+                for a in ([1, 0], [1.0, 0.0])]
+        fused = [uft_fuse(scenario_from_json(doc)) for doc in docs]
+        assert fused[0].m_uft == fused[1].m_uft
