@@ -134,14 +134,25 @@ class Frame:
         return AtomSet(self, key)
 
     def name_of(self, a: "AtomSet | int") -> str:
-        bits = a.bits if isinstance(a, AtomSet) else a
-        return _format_bits(self.labels, bits)
+        return _format_bits(self.labels, _key_bits(a))
 
 
 def _is_int(bits) -> bool:
     """Any :class:`numbers.Integral` but a bool.  Hot callers test
     ``type(bits) is int`` first: the ABC check alone costs more."""
     return isinstance(bits, numbers.Integral) and not isinstance(bits, bool)
+
+
+def _key_bits(a: "AtomSet | int") -> int:
+    """The mask of an AtomSet, or ``a`` itself if it is an int by
+    :class:`AtomSet`'s rule; anything else raises ``InputError``."""
+    if type(a) is int:
+        return a
+    if isinstance(a, AtomSet):
+        return a.bits
+    if _is_int(a):
+        return int(a)
+    raise InputError(f"bits must be an int, got {a!r}")
 
 
 def build_frame(labels, world: World | str = World.CLOSED) -> Frame:
@@ -306,8 +317,7 @@ class EmptinessModel:
         under a model where A and B are disjoint prints as A, not as
         the free-algebra complement form).
         """
-        bits = a.bits if isinstance(a, AtomSet) else a
-        bits &= ~self.forced_empty_bits
+        bits = _key_bits(a) & ~self.forced_empty_bits
         return _format_bits(self.frame.labels, bits, self.forced_empty_bits)
 
 

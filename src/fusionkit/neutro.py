@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .algebra import _is_int
 from .errors import InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm, real
 from .tcn import DUAL_CONORM, TNorm, _lookup, tconorm, tnorm
 
@@ -398,7 +399,9 @@ def klaw3(z, w, u) -> float:
 
 
 def klaw_term_count(kind: str, k: int) -> int:
-    """Number of monomials the composition expands to."""
+    """Number of monomials the composition of ``k >= 1`` factors expands to."""
+    if not _is_int(k) or k < 1:
+        raise InputError(f"k must be an integer >= 1, got {k!r}")
     if kind == "same":
         return 1
     if kind == "mixed":

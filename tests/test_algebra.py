@@ -516,3 +516,22 @@ class TestBitmaskKeys:
             assert model.reduce(key) == frame.empty()
         with pytest.raises(FrameMismatch, match="^set belongs to a different frame$"):
             model.reduce(Frame(("A", "C")).atoms_of("A"))
+
+    @pytest.mark.parametrize("bits", [True, False, 1.5, None, "3", np.float64(1.0)], ids=repr)
+    def test_name_of_refuses_keys_that_are_not_an_int(self, bits):
+        frame = Frame(("A", "B"))
+        for name_of in (frame.name_of, EmptinessModel.free(frame).name_of,
+                        EmptinessModel.exclusive(frame).name_of):
+            with pytest.raises(InputError) as info:
+                name_of(bits)
+            assert str(info.value) == f"bits must be an int, got {bits!r}"
+
+    def test_name_of_reads_ints_numpy_ints_and_atom_sets(self):
+        frame = Frame(("A", "B"))
+        a_or_b = frame.atoms_of("A|B")
+        model = EmptinessModel.exclusive(frame)
+        for key in (a_or_b, a_or_b.bits, np.int64(a_or_b.bits), np.uint64(a_or_b.bits)):
+            assert frame.name_of(key) == "A|B"
+            assert EmptinessModel.free(frame).name_of(key) == "A|B"
+            assert model.name_of(key) == "A|B"
+        assert frame.name_of(np.int64(3)) == frame.name_of(3) == "~A|~B"

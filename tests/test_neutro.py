@@ -682,3 +682,15 @@ class TestOutsideNumbers:
         assert klaw_same([1, 2]) == 2
         assert klaw_mixed([1, np.float64(0.5)], [np.int64(2), 0.25]) == klaw_mixed(
             [1.0, 0.5], [2.0, 0.25])
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, -1, 0, True, False, None, "3"], ids=repr)
+    def test_term_count_refuses_a_k_that_is_not_a_positive_int(self, k):
+        for kind in ("same", "mixed", "triple"):
+            with pytest.raises(InputError) as info:
+                klaw_term_count(kind, k)
+            assert str(info.value) == f"k must be an integer >= 1, got {k!r}"
+
+    def test_term_count_reads_any_positive_int(self):
+        assert [klaw_term_count("mixed", k) for k in (1, np.int64(3))] == [0, 6]
+        assert [klaw_term_count("triple", k) for k in (1, 2, np.uint8(3))] == [0, 0, 6]
+        assert klaw_term_count("same", 1) == 1

@@ -36,7 +36,14 @@ from fusionkit.errors import (
     OutOfRange,
     TruncatedData,
 )
-from fusionkit.nimage import _plane_entropy, _row_entropies, _row_histograms
+from fusionkit.nimage import (
+    _bin_index,
+    _median_network,
+    _plane_entropy,
+    _row_entropies,
+    _row_histograms,
+    _window_median,
+)
 
 
 def checkerboard(size=8, lo=40, hi=200):
@@ -250,6 +257,19 @@ class TestGammaMedian:
         with pytest.raises(BadWindow):
             gamma_median(ns, gamma=0.5, s=4)
 
+    @pytest.mark.parametrize("gamma", ["x", "0.5", None, True, [0.5]], ids=repr)
+    def test_gamma_that_is_not_a_number_is_refused(self, gamma):
+        with pytest.raises(OutOfRange) as info:
+            gamma_median(to_ns(checkerboard()), gamma=gamma)
+        assert str(info.value) == f"gamma must be >= 0, got {gamma}"
+
+    def test_gamma_reads_any_real_number(self):
+        ns = to_ns(checkerboard())
+        assert gamma_median(ns, gamma=10 ** 400) is ns
+        assert gamma_median(ns, gamma=np.float64(2.0)) is ns
+        assert np.array_equal(gamma_median(ns, gamma=np.int64(0)).t,
+                              gamma_median(ns, gamma=0.0).t)
+
 
 class TestDenoise:
     def setup_method(self):
@@ -287,6 +307,26 @@ class TestDenoise:
             denoise(self.noisy, gamma=0.4, delta=math.nan)
         with pytest.raises(BadParams):
             denoise(self.noisy, gamma=0.4, delta=0.01, max_iters=0)
+
+    @pytest.mark.parametrize("gamma", ["x", None, True, False], ids=repr)
+    def test_gamma_that_is_not_a_number_is_refused(self, gamma):
+        with pytest.raises(OutOfRange) as info:
+            denoise(self.noisy, gamma=gamma, delta=0.01)
+        assert str(info.value) == f"gamma must be >= 0, got {gamma}"
+
+    @pytest.mark.parametrize("delta", ["x", None, True, False], ids=repr)
+    def test_delta_that_is_not_a_number_is_refused(self, delta):
+        with pytest.raises(BadParams) as info:
+            denoise(self.noisy, gamma=0.4, delta=delta)
+        assert str(info.value) == f"delta must be >= 0, got {delta}"
+
+    def test_gamma_and_delta_read_any_real_number(self):
+        expected = denoise_detailed(self.noisy, gamma=0.4, delta=0.0, max_iters=3)
+        res = denoise_detailed(self.noisy, gamma=np.float64(0.4), delta=np.int64(0),
+                               max_iters=3)
+        assert res == expected
+        res = denoise_detailed(self.noisy, gamma=10 ** 400, delta=10 ** 400)
+        assert res.image == self.noisy and res.iterations == 1
 
 
 class TestSFunction:
@@ -464,6 +504,22 @@ def reference_entropy(plane, bins, weights=None):
     return float(-np.sum(p * np.log(p))) + 0.0
 
 
+def reference_bin_index(x, bins):
+    """``np.histogram``'s bin over [0, 1] for every ``bins``: the rounded
+    ``x * bins``, corrected by one against the ``np.linspace`` edges."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    k = (x * bins).astype(np.intp)
+    np.minimum(k, bins - 1, out=k)
+    k -= x < edges.take(k)
+    k += (x >= edges.take(k + 1)) & (k != bins - 1)
+    return k
+
+
+def reference_window_median(windows):
+    """The middle byte of every row of an (n, s*s) uint8 array."""
+    return np.partition(windows, windows.shape[1] // 2, axis=1)[:, windows.shape[1] // 2]
+
+
 def reference_fit_abc(img, w=3, bins=64):
     """The S-function on every pixel for every candidate b.
 
@@ -505,6 +561,19 @@ def reference_denoise(img, *, gamma, delta, w=3, s=3, max_iters=10):
         en_prev = en
     image = GrayImage(np.clip(np.rint(g), 0, 255).astype(np.uint8))
     return image, done, tuple(trace)
+
+
+def impulse_ramp(size=256, fraction=0.2, seed=1):
+    """A diagonal gray ramp with ``fraction`` of its pixels set to 0 or
+    255, as the benchmark's denoise jobs draw them."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[0:size, 0:size] / (size - 1)
+    ramp = x * np.cos(0.7) + y * np.sin(0.7)
+    ramp = (ramp - ramp.min()) / (ramp.max() - ramp.min())
+    px = np.rint(40.0 + 170.0 * ramp)
+    hit = rng.random(px.shape) < fraction
+    px[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0, 255)
+    return GrayImage(px.astype(np.uint8))
 
 
 def dot_grid(size=96):
@@ -629,6 +698,13 @@ class TestAgainstReferences:
         for kw in DENOISE_SETTINGS:
             self.assert_denoise_matches(noisy, **kw)
 
+    @pytest.mark.parametrize("s", (3, 5))
+    @pytest.mark.parametrize("gamma", (0.3, 0.4))
+    def test_denoise_at_benchmark_size(self, gamma, s):
+        img = impulse_ramp()
+        assert (to_ns(img).i >= gamma).mean() > 0.1
+        self.assert_denoise_matches(img, gamma=gamma, delta=0.01, s=s)
+
     @pytest.mark.parametrize("gamma", (0.0, 0.5))
     def test_denoise_constant_image(self, gamma):
         img = GrayImage(np.full((9, 12), 77, dtype=np.uint8))
@@ -654,6 +730,83 @@ class TestAgainstReferences:
             weights = np.append(multiplicity, 1)
             assert (_plane_entropy(plane, bins, weights)
                     == reference_entropy(plane, bins, weights))
+
+
+def edge_probes(bins):
+    """Every bin edge, as ``k / bins`` and as ``np.linspace`` draws it,
+    one ulp either side of each, and 0.0 and 1.0."""
+    edges = np.concatenate([np.arange(bins + 1) / bins,
+                            np.linspace(0.0, 1.0, bins + 1)])
+    probes = np.concatenate([edges, np.nextafter(edges, -1.0),
+                             np.nextafter(edges, 2.0), [0.0, 1.0]])
+    return probes[(probes >= 0.0) & (probes <= 1.0)]
+
+
+def histogram_bin(x, bins):
+    """The bin ``np.histogram`` over [0, 1] counts ``x`` in."""
+    return int(np.flatnonzero(np.histogram([x], bins=bins, range=(0.0, 1.0))[0])[0])
+
+
+class TestExactForms:
+    """The power-of-two binning and the median network against the
+    corrected binning and ``np.partition`` they replaced."""
+
+    @pytest.mark.parametrize("bins", range(2, 131))
+    def test_bins_at_every_edge(self, bins):
+        x = edge_probes(bins)
+        assert np.array_equal(_bin_index(x, bins), reference_bin_index(x, bins))
+        assert np.array_equal(
+            np.bincount(_bin_index(x, bins), minlength=bins),
+            np.histogram(x, bins=bins, range=(0.0, 1.0))[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 130) | st.sampled_from([2 ** e for e in range(1, 8)]),
+           st.data())
+    def test_bins_match_the_correction_and_the_histogram(self, bins, data):
+        x = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0) | st.sampled_from(edge_probes(bins).tolist()),
+            min_size=1, max_size=20)))
+        k = _bin_index(x, bins)
+        assert np.array_equal(k, reference_bin_index(x, bins))
+        assert k.tolist() == [histogram_bin(v, bins) for v in x]
+
+    def test_bins_of_a_two_dimensional_block(self):
+        x = np.random.default_rng(3).random((5, 400))
+        x[:, :4] = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0)]
+        for bins in (10, 50, 64):
+            assert np.array_equal(_bin_index(x, bins), reference_bin_index(x, bins))
+
+    @pytest.mark.parametrize("s", (3, 5, 7, 9, 21))
+    def test_network_selects_the_middle_byte(self, s):
+        n = s * s
+        rng = np.random.default_rng(s)
+        cases = [
+            rng.integers(0, 256, (500, n)),           # random bytes
+            rng.integers(0, 3, (500, n)) + 120,       # many ties
+            np.repeat(rng.integers(0, 256, (20, 1)), n, axis=1),  # all equal
+            rng.choice([0, 255], (500, n)),           # only 0 and 255
+            rng.integers(0, 256, (1, n)),             # a single flagged pixel
+        ]
+        for windows in cases:
+            windows = windows.astype(np.uint8)
+            rows = np.ascontiguousarray(windows.T)
+            median = _window_median(rows)
+            assert median.dtype == np.uint8
+            assert np.array_equal(median, reference_window_median(windows))
+            assert np.array_equal(rows, windows.T)  # only read
+
+    def test_network_on_every_zero_one_window_of_three(self):
+        """By the 0-1 principle a comparator network that selects the
+        median of every 0/1 input selects it on every input."""
+        windows = (np.arange(512)[:, None] >> np.arange(9) & 1).astype(np.uint8)
+        assert np.array_equal(_window_median(np.ascontiguousarray(windows.T)),
+                              reference_window_median(windows))
+
+    def test_network_sizes(self):
+        sizes = {s: len(_median_network(s * s)) for s in (3, 5, 7)}
+        assert sizes == {3: 24, 5: 113, 7: 319}
+        for a, b, lo, hi in _median_network(81):
+            assert 0 <= a < b < 81 and (lo or hi)
 
 
 BINS = (2, 3, 7, 32, 64, 256)
