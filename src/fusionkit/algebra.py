@@ -168,8 +168,10 @@ class AtomSet:
     bits: int
 
     def __post_init__(self):
-        if type(self.bits) is not int and not _is_int(self.bits):
-            raise InputError(f"bits must be an int, got {self.bits!r}")
+        if type(self.bits) is not int:
+            if not _is_int(self.bits):
+                raise InputError(f"bits must be an int, got {self.bits!r}")
+            object.__setattr__(self, "bits", int(self.bits))
         if not 0 <= self.bits <= self.frame.universe_bits:
             raise InputError(f"bits {self.bits:#x} outside the frame universe")
 
@@ -247,11 +249,13 @@ def set_op(kind: SetOpKind | str, a: AtomSet, b: AtomSet | None = None) -> AtomS
 def superpower_cardinality(n: int) -> int:
     """Number of distinct sets generated by n hypotheses under
     union/intersection/complement (empty set included)."""
+    if not _is_int(n):
+        raise InputError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise TooFewHypotheses("need at least 2 hypotheses")
     if n > MAX_HYPOTHESES:
         raise TooManyHypotheses(f"at most {MAX_HYPOTHESES} hypotheses supported, got {n}")
-    return 1 << ((1 << n) - 1)
+    return 1 << ((1 << int(n)) - 1)
 
 
 # --- emptiness models -------------------------------------------------------
@@ -269,8 +273,11 @@ class EmptinessModel:
     forced_empty_bits: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.forced_empty_bits):
-            raise InputError(f"forced-empty bits must be an int, got {self.forced_empty_bits!r}")
+        if type(self.forced_empty_bits) is not int:
+            if not _is_int(self.forced_empty_bits):
+                raise InputError(
+                    f"forced-empty bits must be an int, got {self.forced_empty_bits!r}")
+            object.__setattr__(self, "forced_empty_bits", int(self.forced_empty_bits))
         if not 0 <= self.forced_empty_bits <= self.frame.universe_bits:
             raise InputError("forced-empty bits outside the frame universe")
 
@@ -330,85 +337,71 @@ def is_model_empty(a: AtomSet, model: EmptinessModel) -> bool:
 
 
 # --- expression parsing -----------------------------------------------------
-#
-# Grammar (tightest first):  ~x  |  x & y  |  x \ y , x | y  (left-assoc,
-# difference shares the lowest level with union).  Parentheses group.
-# Identifiers are hypothesis labels; "empty" denotes the empty set.
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()&|~\\])")
+#: One token per match: a label, ``empty`` or an operator in group 1, any
+#: other non-space character in group 2.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*|[()&|~\\])|(\S))")
 
-
-def _tokenize(text: str) -> list[str]:
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ExprSyntaxError(f"bad character {text[pos:].lstrip()[0]!r} in {text!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+#: How tightly each binary operator binds; all are left-associative.
+_BINDING = {"&": 2, "|": 1, "\\": 1}
 
 
-class _Parser:
-    def __init__(self, frame: Frame, text: str):
-        self.frame = frame
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.text = text
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> int:
-        if not self.tokens:
-            raise ExprSyntaxError("empty expression")
-        bits = self.expr()
-        if self.peek() is not None:
-            raise ExprSyntaxError(f"trailing input at {self.peek()!r} in {self.text!r}")
-        return bits
-
-    def expr(self) -> int:
-        bits = self.term()
-        while self.peek() in ("|", "\\"):
-            op = self.take()
-            rhs = self.term()
-            bits = bits | rhs if op == "|" else bits & ~rhs
-        return bits
-
-    def term(self) -> int:
-        bits = self.factor()
-        while self.peek() == "&":
-            self.take()
-            bits &= self.factor()
-        return bits
-
-    def factor(self) -> int:
-        tok = self.take()
-        if tok is None:
-            raise ExprSyntaxError(f"unexpected end of expression in {self.text!r}")
-        if tok == "~":
-            return self.frame.universe_bits & ~self.factor()
-        if tok == "(":
-            bits = self.expr()
-            if self.take() != ")":
-                raise ExprSyntaxError(f"missing ')' in {self.text!r}")
-            return bits
-        if tok == EMPTY_NAME:
-            return 0
-        if _IDENT_RE.fullmatch(tok):
-            return self.frame.label_bits(tok)
-        raise ExprSyntaxError(f"unexpected token {tok!r} in {self.text!r}")
+def _parse_bits(frame: Frame, text: str) -> int:
+    """The mask of ``text`` by Dijkstra's operator-precedence method: one
+    pass over the tokens with a stack of values and a stack of pending
+    ``(``, ``~`` and binary operators, so nesting costs no recursion."""
+    pairs = _TOKEN_RE.findall(text)
+    if not pairs:
+        raise ExprSyntaxError("empty expression")
+    tokens, bad = zip(*pairs)
+    if any(bad):
+        raise ExprSyntaxError(f"bad character {''.join(bad)[0]!r} in {text!r}")
+    values, pending = [], []
+    depth, operand = 0, True  # open parentheses; whether an operand comes next
+    for tok in tokens + (None,):  # None ends the text
+        if operand:
+            if tok == "~" or tok == "(":
+                pending.append(tok)
+                depth += tok == "("
+                continue
+            if tok is None:
+                raise ExprSyntaxError(f"unexpected end of expression in {text!r}")
+            if tok in _BINDING or tok == ")":
+                raise ExprSyntaxError(f"unexpected token {tok!r} in {text!r}")
+            bits = 0 if tok == EMPTY_NAME else frame.label_bits(tok)
+        else:
+            # apply the pending operators that bind at least as tightly as
+            # ``tok``; anything but an operator applies all down to a "("
+            binding = _BINDING.get(tok, 1)
+            while pending and _BINDING.get(pending[-1], 0) >= binding:
+                op, rhs, lhs = pending.pop(), values.pop(), values.pop()
+                values.append(lhs | rhs if op == "|" else lhs & (rhs if op == "&" else ~rhs))
+            if tok in _BINDING:
+                pending.append(tok)
+                operand = True
+                continue
+            if tok == ")" and depth:
+                pending.pop()
+                depth -= 1
+                bits = values.pop()
+            elif depth:
+                raise ExprSyntaxError(f"missing ')' in {text!r}")
+            elif tok is None:
+                return values[0]
+            else:
+                raise ExprSyntaxError(f"trailing input at {tok!r} in {text!r}")
+        while pending and pending[-1] == "~":  # the complements written before
+            pending.pop()
+            bits = frame.universe_bits & ~bits
+        values.append(bits)
+        operand = False
 
 
 def parse_expr(frame: Frame, text: str) -> AtomSet:
-    return AtomSet(frame, _Parser(frame, text).parse())
+    """The set ``text`` names over ``frame``: labels and ``empty`` under
+    ``~`` (tightest), ``&``, then ``|`` and ``\\`` (one left-associative
+    level), grouped by parentheses to any depth."""
+    return AtomSet(frame, _parse_bits(frame, text))
 
 
 def atoms_of(expr: str | AtomSet, frame: Frame) -> AtomSet:

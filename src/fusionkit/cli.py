@@ -111,7 +111,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, or an int too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long int, too deep
         raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 

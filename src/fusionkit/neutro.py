@@ -61,6 +61,8 @@ class NsTriple:
                 raise OutOfRange(f"component {name} below 0")
             if lo > hi:
                 raise InputError(f"component {name} has reversed bounds")
+            if pair:
+                object.__setattr__(self, name, tuple(c))
 
     @property
     def is_crisp(self) -> bool:

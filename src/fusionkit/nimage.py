@@ -334,11 +334,13 @@ def _row_entropies(counts: np.ndarray, total) -> np.ndarray:
 
 
 def ns_entropy(ns: NsImage, bins: int = 64):
-    """Per-plane Shannon entropies (nats) and their sum."""
+    """Per-plane Shannon entropies (nats) and their sum, of planes in [0, 1]."""
     _check_bins(bins)
-    en_t = _plane_entropy(ns.t, bins)
-    en_i = _plane_entropy(ns.i, bins)
-    en_f = _plane_entropy(ns.f, bins)
+    planes = (ns.t, ns.i, ns.f)
+    for name, plane in zip("tif", planes):
+        if not ((plane >= 0.0) & (plane <= 1.0)).all():
+            raise OutOfRange(f"plane {name} holds NaN or a value outside [0, 1]")
+    en_t, en_i, en_f = (_plane_entropy(plane, bins) for plane in planes)
     return en_t, en_i, en_f, en_t + en_i + en_f
 
 

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import EmptinessModel, Frame, World
+from .algebra import EmptinessModel, Frame, World, _is_int
 from .errors import BadGrouping, FrameMismatch, InputError, TotalConflict, enum_member
 from .mass import Bba
 
@@ -219,7 +219,7 @@ def _grouping(tree, n: int, where: str = ""):
     seen: set = set()
 
     def build(node):
-        if isinstance(node, int):
+        if _is_int(node):
             if not 0 <= node < n:
                 raise BadGrouping(f"source index {node} out of range")
             if node in seen:

@@ -1,11 +1,13 @@
 """Shared builders for recurring fusion scenarios and synthetic images,
 and the reference forms the library's table and engine code is checked
-against: the one-term proportional split, the T-norm and T-conorm
-if-chains on floats, the interval conjunction's loop over entries, and
-the test of what counts as a number."""
+against: the recursive-descent expression parser, the one-term
+proportional split, the T-norm and T-conorm if-chains on floats, the
+interval conjunction's loop over entries, and the test of what counts
+as a number."""
 
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from fusionkit import (
     UftScenario,
     make_bba,
 )
-from fusionkit.errors import FrameMismatch, InputError
+from fusionkit.algebra import _IDENT_RE, EMPTY_NAME
+from fusionkit.errors import ExprSyntaxError, FrameMismatch, InputError
 
 
 def pytest_collection_modifyitems(items):
@@ -37,6 +40,88 @@ def pytest_collection_modifyitems(items):
         "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     for item in items:
         item.add_marker(ignore)
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()&|~\\])")
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    out, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise ExprSyntaxError(f"bad character {text[pos:].lstrip()[0]!r} in {text!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+class _ReferenceParser:
+    def __init__(self, frame, text: str):
+        self.frame = frame
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.text = text
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse(self) -> int:
+        if not self.tokens:
+            raise ExprSyntaxError("empty expression")
+        bits = self.expr()
+        if self.peek() is not None:
+            raise ExprSyntaxError(f"trailing input at {self.peek()!r} in {self.text!r}")
+        return bits
+
+    def expr(self) -> int:
+        bits = self.term()
+        while self.peek() in ("|", "\\"):
+            op = self.take()
+            rhs = self.term()
+            bits = bits | rhs if op == "|" else bits & ~rhs
+        return bits
+
+    def term(self) -> int:
+        bits = self.factor()
+        while self.peek() == "&":
+            self.take()
+            bits &= self.factor()
+        return bits
+
+    def factor(self) -> int:
+        tok = self.take()
+        if tok is None:
+            raise ExprSyntaxError(f"unexpected end of expression in {self.text!r}")
+        if tok == "~":
+            return self.frame.universe_bits & ~self.factor()
+        if tok == "(":
+            bits = self.expr()
+            if self.take() != ")":
+                raise ExprSyntaxError(f"missing ')' in {self.text!r}")
+            return bits
+        if tok == EMPTY_NAME:
+            return 0
+        if _IDENT_RE.fullmatch(tok):
+            return self.frame.label_bits(tok)
+        raise ExprSyntaxError(f"unexpected token {tok!r} in {self.text!r}")
+
+
+def reference_parse_bits(frame, text: str) -> int:
+    """The mask of a set expression by recursive descent: a ``re.match``
+    tokenizer loop, then one method per grammar level (``expr`` for
+    ``|`` and ``\\``, ``term`` for ``&``, ``factor`` for ``~``,
+    parentheses and labels).  It recurses per parenthesis and per ``~``,
+    so deep nesting raises ``RecursionError``.  This is the form that
+    ``fusionkit.algebra._parse_bits`` replaces."""
+    return _ReferenceParser(frame, text).parse()
 
 
 def reference_split(v: float, parts):

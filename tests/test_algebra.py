@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_bits
 from fusionkit import (
     AtomSet,
     EmptinessModel,
@@ -197,6 +198,15 @@ class TestCardinality:
         for n in range(2, 7):
             assert superpower_cardinality(n) == 2 ** (2**n - 1)
 
+    @pytest.mark.parametrize("n", [2.5, None, "3", True], ids=repr)
+    def test_cardinality_of_a_non_integer_is_an_input_error(self, n):
+        with pytest.raises(InputError) as info:
+            superpower_cardinality(n)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    def test_cardinality_of_a_numpy_integer(self):
+        assert superpower_cardinality(np.int64(6)) == 2**63
+
     def test_frame_size_limits(self):
         with pytest.raises(TooFewHypotheses):
             build_frame(("A",))
@@ -257,6 +267,33 @@ class TestParserAgainstOracle:
         frame = Frame(LABELS3)
         with pytest.raises(ExprSyntaxError):
             parse_expr(frame, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from([("A", "B"), LABELS3]),
+           st.lists(st.sampled_from(["A", "B", "C", "Q", "empty", "A1", "_x", "&", "|", "\\",
+                                     "~", "(", ")", " ", "\t", "\u00a0", "$", "\u00e9", "9"]),
+                    max_size=14))
+    def test_one_pass_matches_recursive_descent(self, labels, parts):
+        frame, text = Frame(labels), "".join(parts)
+
+        def outcome(parse):
+            try:
+                return parse(frame, text)
+            except InputError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda f, t: parse_expr(f, t).bits) == outcome(reference_parse_bits)
+
+    @pytest.mark.parametrize("text", ["(" * 10_000 + "A" + ")" * 10_000, "~" * 10_000 + "A"],
+                             ids=["parentheses", "complements"])
+    def test_nesting_has_no_depth_limit(self, text):
+        frame = Frame(LABELS3)
+        assert parse_expr(frame, text) == frame.atoms_of("A")
+        assert parse_expr(frame, "~" + text) == frame.atoms_of("~A")
+        with pytest.raises(ExprSyntaxError, match=r"^missing '\)' in "):
+            parse_expr(frame, "(" + text)
+        with pytest.raises(RecursionError):
+            reference_parse_bits(frame, text)
 
 
 class TestBooleanLaws:
@@ -495,6 +532,16 @@ class TestBitmaskKeys:
         frame = Frame(("A", "B"))
         assert AtomSet(frame, bits) == frame.atoms_of("A&B")
         assert EmptinessModel(frame, bits).is_empty(frame.atoms_of("A&B"))
+
+    def test_numpy_masks_are_stored_as_ints(self):
+        frame = Frame(("A", "B"))
+        assert type(AtomSet(frame, np.uint64(3)).bits) is int
+        exclusive = EmptinessModel.exclusive(frame)
+        assert exclusive.reduce(np.uint64(7)) == AtomSet(frame, 3)
+        assert exclusive.is_empty(np.uint64(4)) is True
+        forced = EmptinessModel(frame, np.uint64(4))
+        assert type(forced.forced_empty_bits) is int
+        assert forced.is_empty("A&B") is True
 
     def test_atoms_of_reads_text_atom_sets_and_bitmasks(self):
         frame = Frame(LABELS3)

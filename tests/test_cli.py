@@ -57,6 +57,11 @@ class TestAlgebraCommands:
         assert code == 0
         assert json.loads(out) == {"name": "A", "atoms": 2, "bits": 5}
 
+    def test_canonical_name_at_any_nesting_depth(self):
+        code, out, err = run(["algebra", "canon", "--frame", "A,B",
+                              "(" * 5000 + "A" + ")" * 5000])
+        assert (code, out, err) == (0, "A\n", "")
+
     def test_unknown_label(self):
         code, _, err = run(["algebra", "canon", "--frame", "A,B", "C"])
         assert code == 1
@@ -570,6 +575,14 @@ class TestExitCodes:
         path = tmp_path / "long_int.json"
         path.write_text('{"frame": ["A", "B"], "sources": [{"A": %s}, {"B": 1}]}' % ("1" * 5000))
         code, out, err = run(["fuse", "--rule", "dempster", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: invalid JSON (")
+
+    @pytest.mark.parametrize("argv", [["fuse", "--rule", "dempster"], ["uft"]], ids=str)
+    def test_json_nested_too_deep_is_invalid_json(self, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run([*argv, str(path)])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: invalid JSON (")
 

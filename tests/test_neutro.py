@@ -117,6 +117,12 @@ class TestTripleType:
         with pytest.raises(IntervalNotSupported):
             x.crisp_components()
 
+    def test_a_list_pair_is_stored_as_a_tuple(self):
+        x = NsTriple([0.1, 0.2], 0, 0)
+        assert x.t == (0.1, 0.2)
+        assert x == NsTriple((0.1, 0.2), 0, 0)
+        assert hash(x) == hash(NsTriple((0.1, 0.2), 0, 0))
+
     def test_negative_component_rejected(self):
         with pytest.raises(OutOfRange):
             NsTriple(-0.1, 0.2, 0.3)

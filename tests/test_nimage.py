@@ -232,6 +232,15 @@ class TestEntropy:
         with pytest.raises(BadParams):
             ns_entropy(ns, bins=1)
 
+    @pytest.mark.parametrize("value", [-0.001, 1.001, math.nan, -math.inf], ids=repr)
+    @pytest.mark.parametrize("plane", "tif")
+    def test_plane_values_outside_the_unit_interval_are_refused(self, plane, value):
+        planes = {name: np.full((4, 4), 0.5) for name in "tif"}
+        planes[plane][1, 2] = value
+        ns = NsImage(planes["t"], planes["i"], planes["f"], 3, 0.0, 255.0)
+        with pytest.raises(OutOfRange, match=f"^plane {plane} holds NaN or a value outside"):
+            ns_entropy(ns)
+
 
 class TestGammaMedian:
     def test_unreachable_gamma_is_identity(self):

@@ -7,6 +7,7 @@ rule, and the conflict-handling catalog built on the shared ledger.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import two_label_sources
@@ -185,6 +186,13 @@ class TestMixedGrouping:
         frame, s1, s2 = pair
         with pytest.raises(BadGrouping, match=f"^{message}$"):
             mixed((s1, s2), tree)
+
+    def test_grouping_leaves_are_integers_but_not_bools(self, pair):
+        frame, s1, s2 = pair
+        with pytest.raises(BadGrouping, match="^bad grouping node True$"):
+            mixed((s1, s2), ("and", True, 0))
+        assert (mixed((s1, s2), ("and", np.int64(1), 0)).entries
+                == mixed((s1, s2), ("and", 1, 0)).entries)
 
     def test_combine_has_no_default_grouping(self, pair):
         frame, s1, s2 = pair
