@@ -227,86 +227,78 @@ def _cmd_ufr(args) -> int:
 # --- neutro eval mini-grammar ------------------------------------------------
 
 
-class _NsExprParser:
-    """Recursive-descent reader for and[recipe](x,y) / or[...](..) /
-    not(x) over crisp (t,i,f) triples."""
+def _ns_eval(text: str) -> NsTriple:
+    """The value of a ``neutro eval`` expression, read in one pass at any
+    depth.  Operators wait on a stack for their operands (``not`` for
+    ``)``, ``and``/``or`` for ``,`` then ``)``) and apply as their ``)``
+    is read, so the first error raised is the first in the text.  Spaces,
+    words and digits are what ``str.isspace``, ``isalpha`` and ``isdigit``
+    say; a number is a run of digits and ``.eE+-`` read by ``float``."""
+    pos, end = 0, len(text)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+    def scan(test=None) -> str:
+        """Skip whitespace, then read the run of characters passing ``test``."""
+        nonlocal pos
+        while pos < end and text[pos].isspace():
+            pos += 1
+        start = pos
+        while test and pos < end and test(text[pos]):
+            pos += 1
+        return text[start:pos]
 
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def expect(ch: str) -> None:
+        nonlocal pos
+        scan()
+        if text[pos:pos + 1] != ch:
+            raise InputError(f"expected {ch!r} at position {pos} in {text!r}")
+        pos += 1
 
-    def _expect(self, ch: str):
-        self._skip()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise InputError(
-                f"expected {ch!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += 1
-
-    def _word(self) -> str:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def _number(self) -> float:
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
-        ):
-            self.pos += 1
+    def number(close: str) -> float:
+        nonlocal pos
+        scan()
+        start = pos
+        while pos < end and (text[pos].isdigit() or text[pos] in ".eE+-"):
+            pos += 1
         try:
-            return float(self.text[start:self.pos])
+            value = float(text[start:pos])
         except ValueError:
             raise InputError(f"bad number at position {start}") from None
-
-    def parse(self) -> NsTriple:
-        value = self._expr()
-        self._skip()
-        if self.pos != len(self.text):
-            raise InputError(f"trailing input at position {self.pos}")
+        expect(close)
         return value
 
-    def _expr(self) -> NsTriple:
-        self._skip()
-        if self.pos < len(self.text) and self.text[self.pos] == "(":
-            self._expect("(")
-            t, i, f = self._number(), None, None
-            self._expect(",")
-            i = self._number()
-            self._expect(",")
-            f = self._number()
-            self._expect(")")
-            return NsTriple(t, i, f)
-        word = self._word()
-        if word == "not":
-            self._expect("(")
-            inner = self._expr()
-            self._expect(")")
-            return ns_not(inner)
-        if word in ("and", "or"):
-            self._expect("[")
-            recipe = enum_member(NsRecipe, self._word(), "recipe")
-            self._expect("]")
-            self._expect("(")
-            x = self._expr()
-            self._expect(",")
-            y = self._expr()
-            self._expect(")")
-            op = n_norm if word == "and" else n_conorm
-            return op(recipe, x, y)
-        raise InputError(f"expected a triple or operator, got {word!r}")
+    stack = []  # [operator, recipe, first operand or None]
+    while True:
+        word = scan(str.isalpha)
+        if word or text[pos:pos + 1] != "(":
+            if word not in ("not", "and", "or"):
+                raise InputError(f"expected a triple or operator, got {word!r}")
+            recipe = None
+            if word != "not":
+                expect("[")
+                recipe = enum_member(NsRecipe, scan(str.isalpha), "recipe")
+                expect("]")
+            expect("(")
+            stack.append([word, recipe, None])
+            continue
+        pos += 1
+        value = NsTriple(number(","), number(","), number(")"))
+        while stack and (stack[-1][0] == "not" or stack[-1][2] is not None):
+            word, recipe, x = stack.pop()
+            expect(")")
+            value = ns_not(value) if word == "not" else (
+                n_norm if word == "and" else n_conorm)(recipe, x, value)
+        if stack:
+            expect(",")
+            stack[-1][2] = value
+            continue
+        scan()
+        if pos != end:
+            raise InputError(f"trailing input at position {pos}")
+        return value
 
 
 def _cmd_neutro_eval(args) -> int:
-    result = _NsExprParser(args.expr).parse()
-    print(json.dumps(result.to_json()))
+    print(json.dumps(_ns_eval(args.expr).to_json()))
     return 0
 
 

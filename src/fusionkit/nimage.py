@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .algebra import _is_int
 from .errors import (
     BadDimensions,
     BadMagic,
@@ -35,7 +36,7 @@ from .errors import (
 
 
 def _check_int(value, what: str, error=BadParams) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise error(f"{what} must be an integer, got {value!r}")
 
 

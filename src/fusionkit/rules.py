@@ -24,8 +24,8 @@ over the terms adds them: every mass is bit-identical to that loop's,
 not merely close to it.  The ledger keeps its rows of the table and
 builds its entries only when they are read; the disposals read its
 columns, and :func:`_split_columns` splits every entry at once.
-A table of more than :data:`MAX_TERMS` terms is refused before any
-grid is allocated.
+A table of more than :data:`MAX_TERMS` terms or :data:`MAX_SOURCES`
+sources is refused before any grid is allocated.
 
 Each named rule is one call of :func:`_rule`, the pipeline with its
 configuration:
@@ -188,6 +188,9 @@ _PRODUCT = partial(reduce, operator.mul)
 #: Most product terms one pooling or UFT fusion expands.
 MAX_TERMS = 1 << 20
 
+#: Most sources one expansion takes: one grid axis each, 32 in NumPy 1.x.
+MAX_SOURCES = 32
+
 
 def _NEVER(results):
     """Mark predicate that marks nothing."""
@@ -205,38 +208,58 @@ def _check_sources(sources) -> Frame:
 
 
 def _check_terms(sources) -> None:
-    """Raise ``InputError`` when the sources expand to more than
+    """Raise ``InputError`` for more than :data:`MAX_SOURCES` sources or
     :data:`MAX_TERMS` product terms."""
+    if len(sources) > MAX_SOURCES:
+        raise InputError(f"{len(sources)} sources exceed the limit of {MAX_SOURCES}")
     n = math.prod(len(s.entries) for s in sources)
     if n > MAX_TERMS:
         raise InputError(f"{n} product terms exceed the limit of {MAX_TERMS}")
 
 
+def _tree_nodes(tree, ptr: str = "", kinds=(list, tuple)):
+    """Each node of a grouping tree in prefix order, read over one stack,
+    with its JSON pointer below ``ptr`` (none if ``ptr`` is empty) and its
+    join: ``operator.and_`` or ``operator.or_`` for an ``("and"|"or",
+    left, right)`` node of ``kinds``, None for a node the reader checks."""
+    stack = [(tree, ptr)]
+    while stack:
+        node, ptr = stack.pop()
+        join = None
+        if isinstance(node, kinds) and len(node) == 3 and node[0] in ("and", "or"):
+            join = operator.and_ if node[0] == "and" else operator.or_
+            stack += (node[2], ptr and ptr + "/2"), (node[1], ptr and ptr + "/1")
+        yield node, ptr, join
+
+
+def _fold_tree(prefix: list, operands):
+    """A grouping tree's value from its prefix list, over one stack:
+    ``operands[k]`` at a leaf k, a join on its two subtrees' values."""
+    stack = []
+    for item in reversed(prefix):
+        stack.append(item(stack.pop(), stack.pop()) if callable(item) else operands[item])
+    return stack.pop()
+
+
 def _grouping(tree, n: int, where: str = ""):
     """Star for a grouping tree of ``("and"|"or", left, right)`` nodes
     whose leaves are 0-based source indices, each of ``range(n)``
-    exactly once."""
+    exactly once: it folds the operand columns with ``&`` and ``|``."""
     seen: set = set()
-
-    def build(node):
+    prefix = []
+    for node, _, join in _tree_nodes(tree):
         if _is_int(node):
             if not 0 <= node < n:
                 raise BadGrouping(f"source index {node} out of range")
             if node in seen:
                 raise BadGrouping(f"source index {node} used twice")
             seen.add(node)
-            return operator.itemgetter(node)
-        if not (isinstance(node, (list, tuple)) and len(node) == 3
-                and node[0] in ("and", "or")):
+        elif join is None:
             raise BadGrouping(f"bad grouping node {node!r}")
-        op = operator.and_ if node[0] == "and" else operator.or_
-        left, right = build(node[1]), build(node[2])
-        return lambda ops: op(left(ops), right(ops))
-
-    star = build(tree)
+        prefix.append(join or node)
     if len(seen) != n:
         raise BadGrouping("every source must appear exactly once" + where)
-    return star
+    return partial(_fold_tree, prefix)
 
 
 def _marks_empty(model: EmptinessModel):

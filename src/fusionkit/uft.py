@@ -62,8 +62,8 @@ from .errors import (
 )
 from .mass import Bba, _is_strings, discount, make_bba
 from .rules import (_AND, _OR, _PRODUCT, _XOR, ConflictLedger, _check_sources, _dispose,
-                    _escalate, _grouping, _Routed, _split_columns, _split_or_union,
-                    _sums, _Terms, _terms, _union_escalate)
+                    _escalate, _fold_tree, _grouping, _Routed, _split_columns,
+                    _split_or_union, _sums, _Terms, _terms, _tree_nodes, _union_escalate)
 
 
 class Relationship(Enum):
@@ -770,23 +770,22 @@ def _tree_from_json(tree, ptr: str, n: int):
     written and point at the offending node, or at the tree for the
     lowest source it leaves out."""
     seen: set = set()
-
-    def build(node, ptr: str):
+    prefix = []
+    for node, at, join in _tree_nodes(tree, ptr, list):
         if isinstance(node, bool):
-            raise SchemaError(ptr, "grouping leaf must be a source number, got "
+            raise SchemaError(at, "grouping leaf must be a source number, got "
                               + json.dumps(node))
         if isinstance(node, int):
             if node in seen or not 1 <= node <= n:
-                raise SchemaError(ptr, f"source {node} " + (
+                raise SchemaError(at, f"source {node} " + (
                     "used twice" if node in seen else f"out of range 1..{n}"))
             seen.add(node)
-            return node - 1
-        if isinstance(node, list) and len(node) == 3 and node[0] in ("and", "or"):
-            return node[0], build(node[1], f"{ptr}/1"), build(node[2], f"{ptr}/2")
-        raise SchemaError(ptr, f"bad grouping node {node!r}")
-
-    tree = build(tree, ptr)
+            prefix.append(node - 1)
+        elif join is None:
+            raise SchemaError(at, f"bad grouping node {node!r}")
+        else:
+            prefix.append(lambda left, right, op=node[0]: (op, left, right))
     missing = min(set(range(1, n + 1)) - seen, default=None)
     if missing is not None:
         raise SchemaError(ptr, f"source {missing} missing")
-    return tree
+    return _fold_tree(prefix, range(n))

@@ -2,11 +2,14 @@
 and the reference forms the library's table and engine code is checked
 against: the recursive-descent expression parser, the one-term
 proportional split, the T-norm and T-conorm if-chains on floats, the
-interval conjunction's loop over entries, and the test of what counts
-as a number."""
+interval conjunction's loop over entries, the test of what counts
+as a number, the recursive ``neutro eval`` reader and the recursive
+grouping-tree readers."""
 
+import json
 import math
 import numbers
+import operator
 import re
 
 import numpy as np
@@ -25,8 +28,16 @@ from fusionkit import (
     UftScenario,
     make_bba,
 )
-from fusionkit.algebra import _IDENT_RE, EMPTY_NAME
-from fusionkit.errors import ExprSyntaxError, FrameMismatch, InputError
+from fusionkit.algebra import _IDENT_RE, EMPTY_NAME, _is_int
+from fusionkit.errors import (
+    BadGrouping,
+    ExprSyntaxError,
+    FrameMismatch,
+    InputError,
+    SchemaError,
+    enum_member,
+)
+from fusionkit.neutro import NsRecipe, NsTriple, n_conorm, n_norm, ns_not
 
 
 def pytest_collection_modifyitems(items):
@@ -200,6 +211,143 @@ def reference_conjunctive_intervals(m1, m2):
             acc[bits] = (lo + lo1 * lo2, hi + hi1 * hi2)
     out = {bits: (lo, hi) if lo != hi else lo for bits, (lo, hi) in acc.items()}
     return Bba._from_masses(m1.frame, out)
+
+
+class _ReferenceNsParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _expect(self, ch: str):
+        self._skip()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise InputError(
+                f"expected {ch!r} at position {self.pos} in {self.text!r}"
+            )
+        self.pos += 1
+
+    def _word(self) -> str:
+        self._skip()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def _number(self) -> float:
+        self._skip()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
+        ):
+            self.pos += 1
+        try:
+            return float(self.text[start:self.pos])
+        except ValueError:
+            raise InputError(f"bad number at position {start}") from None
+
+    def parse(self) -> NsTriple:
+        value = self._expr()
+        self._skip()
+        if self.pos != len(self.text):
+            raise InputError(f"trailing input at position {self.pos}")
+        return value
+
+    def _expr(self) -> NsTriple:
+        self._skip()
+        if self.pos < len(self.text) and self.text[self.pos] == "(":
+            self._expect("(")
+            t, i, f = self._number(), None, None
+            self._expect(",")
+            i = self._number()
+            self._expect(",")
+            f = self._number()
+            self._expect(")")
+            return NsTriple(t, i, f)
+        word = self._word()
+        if word == "not":
+            self._expect("(")
+            inner = self._expr()
+            self._expect(")")
+            return ns_not(inner)
+        if word in ("and", "or"):
+            self._expect("[")
+            recipe = enum_member(NsRecipe, self._word(), "recipe")
+            self._expect("]")
+            self._expect("(")
+            x = self._expr()
+            self._expect(",")
+            y = self._expr()
+            self._expect(")")
+            op = n_norm if word == "and" else n_conorm
+            return op(recipe, x, y)
+        raise InputError(f"expected a triple or operator, got {word!r}")
+
+
+def reference_ns_eval(text: str) -> NsTriple:
+    """The value of a ``neutro eval`` expression by recursive descent:
+    one method per step (whitespace, an expected character, a word, a
+    number) and ``_expr`` calling itself once per nested operand, so
+    deep nesting raises ``RecursionError``.  This is the form that
+    ``fusionkit.cli._ns_eval`` replaces."""
+    return _ReferenceNsParser(text).parse()
+
+
+def reference_grouping(tree, n: int, where: str = ""):
+    """The grouping star as a chain of closures, one per node, built by
+    recursion over the tree (the form ``fusionkit.rules._grouping``
+    replaces; deep trees raise ``RecursionError``)."""
+    seen: set = set()
+
+    def build(node):
+        if _is_int(node):
+            if not 0 <= node < n:
+                raise BadGrouping(f"source index {node} out of range")
+            if node in seen:
+                raise BadGrouping(f"source index {node} used twice")
+            seen.add(node)
+            return operator.itemgetter(node)
+        if not (isinstance(node, (list, tuple)) and len(node) == 3
+                and node[0] in ("and", "or")):
+            raise BadGrouping(f"bad grouping node {node!r}")
+        op = operator.and_ if node[0] == "and" else operator.or_
+        left, right = build(node[1]), build(node[2])
+        return lambda ops: op(left(ops), right(ops))
+
+    star = build(tree)
+    if len(seen) != n:
+        raise BadGrouping("every source must appear exactly once" + where)
+    return star
+
+
+def reference_tree_from_json(tree, ptr: str, n: int):
+    """A document's grouping tree read by recursion (the form
+    ``fusionkit.uft._tree_from_json`` replaces): 1-based leaves become
+    0-based, errors carry the node's JSON pointer."""
+    seen: set = set()
+
+    def build(node, ptr: str):
+        if isinstance(node, bool):
+            raise SchemaError(ptr, "grouping leaf must be a source number, got "
+                              + json.dumps(node))
+        if isinstance(node, int):
+            if node in seen or not 1 <= node <= n:
+                raise SchemaError(ptr, f"source {node} " + (
+                    "used twice" if node in seen else f"out of range 1..{n}"))
+            seen.add(node)
+            return node - 1
+        if isinstance(node, list) and len(node) == 3 and node[0] in ("and", "or"):
+            return node[0], build(node[1], f"{ptr}/1"), build(node[2], f"{ptr}/2")
+        raise SchemaError(ptr, f"bad grouping node {node!r}")
+
+    tree = build(tree, ptr)
+    missing = min(set(range(1, n + 1)) - seen, default=None)
+    if missing is not None:
+        raise SchemaError(ptr, f"source {missing} missing")
+    return tree
 
 
 def two_label_sources(frame=None):

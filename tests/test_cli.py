@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_ns_eval
+
 from fusionkit import GrayImage, load_pgm, save_pgm, scenario_from_json, uft_fuse
-from fusionkit.cli import _parser, build_parser, emit_table, main
+from fusionkit.cli import _ns_eval, _parser, build_parser, emit_table, main
+from fusionkit.neutro import NsRecipe, NsTriple, n_norm, ns_not
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -346,6 +349,20 @@ class TestMalformedScenarios:
                        "pair must be a list of two set expressions\n")
 
 
+class TestSourceLimit:
+    @pytest.mark.parametrize("argv", [["fuse", "--rule", "conjunctive"], ["uft"]],
+                             ids=["fuse", "uft"])
+    def test_more_sources_than_grid_axes_exit_1(self, argv, tmp_path):
+        for n in (32, 33, 65):
+            path = tmp_path / f"{n}.json"
+            path.write_text(json.dumps({"frame": ["A", "B"], "sources": [{"A": 1}] * n}))
+            code, out, err = run([*argv, str(path)])
+            if n == 32:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, out, err) == (1, "", f"error: {n} sources exceed the limit of 32\n")
+
+
 class TestTcnCommand:
     def test_conjunctive_text(self):
         code, out, _ = run(["tcn", "--variant", "conjunctive",
@@ -441,6 +458,37 @@ class TestUfrCommand:
         assert err == f"error: /{key}: weight spec must be a string, got 3\n"
 
 
+# Every character class the ``neutro eval`` reader tells apart: separators,
+# Unicode spaces, and letters and digits that str tests and float read apart.
+_NS_PARTS = ["(0.5,0.3,0.2)", "(1e999,0,0)", "and[min](", "or[median](", "not(", "and", "or",
+             "not", "min", "[", "]", "(", ")", ",", " ", "\t", "\u00a0", "\u00e9", "\u00b2",
+             "\u216b", "\u0663", "0.5", "1e999", "-", "e", "x"]
+_NS_TRIPLES = ["(0.5,0.3,0.2)", "( 0.4 ,\t0.6,0.1)", "(1,0,0)", "(-0.2,0,0)", "(1.5,0,0)",
+               "(1e999,0,0)", "(\u0663,0,0)", "(0.9,0.1,0.0)"]
+#: Expressions of the grammar, with the unknown recipe "median" now and then.
+_NS_EXPRESSIONS = st.recursive(
+    st.sampled_from(_NS_TRIPLES),
+    lambda kids: st.one_of(
+        kids.map("not({})".format),
+        st.tuples(st.sampled_from(["and", "or"]),
+                  st.sampled_from([recipe.value for recipe in NsRecipe] + ["median"]),
+                  kids, kids).map(lambda node: "{}[{}]({},{})".format(*node))),
+    max_leaves=6)
+
+
+def _splice(text: str, at: int, part: str) -> str:
+    """``text`` with the character at ``at`` (modulo its length plus one)
+    replaced by ``part``."""
+    at %= len(text) + 1
+    return text[:at] + part + text[at + 1:]
+
+
+_NS_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_NS_PARTS), max_size=12).map("".join),
+    _NS_EXPRESSIONS,
+    st.builds(_splice, _NS_EXPRESSIONS, st.integers(0, 200), st.sampled_from(_NS_PARTS + [""])))
+
+
 class TestNeutroCommand:
     def test_conjunction(self):
         code, out, _ = run([
@@ -473,6 +521,39 @@ class TestNeutroCommand:
         code, _, err = run(["neutro", "eval", "(0.5,0.3,0.2) extra"])
         assert code == 1
         assert "trailing" in err
+
+    @settings(max_examples=800, deadline=None)
+    @given(_NS_TEXTS)
+    def test_one_stack_matches_the_recursive_reader(self, text):
+        def outcome(read):
+            try:
+                return read(text).to_json()
+            except Exception as exc:  # any class: it must match the oracle's
+                return type(exc), str(exc)
+
+        assert outcome(_ns_eval) == outcome(reference_ns_eval)
+
+    def test_complements_nest_to_any_depth(self):
+        text = "not(" * 100_000 + "(0.5,0.3,0.2)" + ")" * 100_000
+        expected = NsTriple(0.5, 0.3, 0.2)
+        for _ in range(100_000):
+            expected = ns_not(expected)
+        code, out, err = run(["neutro", "eval", text])
+        assert (code, json.loads(out), err) == (0, expected.to_json(), "")
+        with pytest.raises(RecursionError):
+            reference_ns_eval(text)
+
+    def test_conjunctions_nest_to_any_depth(self):
+        x, y = NsTriple(0.5, 0.3, 0.2), NsTriple(0.4, 0.6, 0.1)
+        text, expected = "(0.5,0.3,0.2)", x
+        for _ in range(20_000):
+            text, expected = f"and[min]({text},(0.4,0.6,0.1))", n_norm(NsRecipe.MIN, expected, y)
+        code, out, err = run(["neutro", "eval", text])
+        assert (code, json.loads(out), err) == (0, expected.to_json(), "")
+        with pytest.raises(RecursionError):
+            reference_ns_eval(text)
+        code, _, err = run(["neutro", "eval", text + ")"])
+        assert (code, err) == (1, f"error: trailing input at position {len(text)}\n")
 
 
 class TestImageCommands:

@@ -337,6 +337,15 @@ class TestDenoise:
         res = denoise_detailed(self.noisy, gamma=10 ** 400, delta=10 ** 400)
         assert res.image == self.noisy and res.iterations == 1
 
+    def test_sizes_read_numpy_integers_but_not_bools(self):
+        expected = denoise_detailed(self.noisy, gamma=0.4, delta=0.01, w=5, s=3, max_iters=2)
+        res = denoise_detailed(self.noisy, gamma=0.4, delta=0.01, w=np.int64(5),
+                               s=np.int64(3), max_iters=np.int64(2))
+        assert res == expected
+        for kw, error in (("w", BadWindow), ("s", BadWindow), ("max_iters", BadParams)):
+            with pytest.raises(error, match="must be an integer, got True$"):
+                denoise_detailed(self.noisy, gamma=0.4, delta=0.01, **{kw: True})
+
 
 class TestSFunction:
     PARAMS = SFunctionParams(30.0, 125.0, 220.0)

@@ -9,8 +9,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import two_label_sources
+from conftest import reference_grouping, two_label_sources
 
 from fusionkit import (
     AtomSet,
@@ -37,6 +39,7 @@ from fusionkit import (
 )
 from fusionkit.errors import BadGrouping, InputError, TotalConflict
 from fusionkit.neutro import n_conorm, n_norm
+from fusionkit.rules import _grouping
 
 ALL_LABELS = ("A", "B", "C")
 
@@ -198,6 +201,86 @@ class TestMixedGrouping:
         frame, s1, s2 = pair
         with pytest.raises(BadGrouping):
             combine(RuleId.MIXED, s1, s2)
+
+
+# Library grouping trees: tuples and lists, leaves of every kind a caller
+# may pass, and the malformed nodes the reader names.
+_GROUPING_LEAVES = st.one_of(
+    st.integers(-1, 5), st.integers(0, 4).map(np.int64), st.booleans(),
+    st.sampled_from([0.0, 1.0, None, ["xor", 1, 2], ["and", 1], [["and"], 1, 2]]))
+_GROUPING_TREES = st.recursive(
+    _GROUPING_LEAVES,
+    lambda kids: st.tuples(st.sampled_from(["and", "or"]), kids, kids).flatmap(
+        lambda node: st.sampled_from([node, list(node)])),
+    max_leaves=8)
+
+
+def _outcome(call):
+    """A call's value, or the class and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # any class: it must match the oracle's
+        return type(exc), str(exc)
+
+
+def _deep_grouping(depth: int):
+    """A grouping tree ``depth`` nodes deep over ``depth + 1`` sources:
+    source k joins the tree below it by "and" from the right when k is
+    odd, by "or" from the left when k is even."""
+    tree = 0
+    for k in range(1, depth + 1):
+        tree = ("and", tree, k) if k % 2 else ("or", k, tree)
+    return tree
+
+
+class TestGroupingReader:
+    @settings(max_examples=600, deadline=None)
+    @given(_GROUPING_TREES, st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_one_stack_matches_the_recursive_reader(self, tree, n, seed):
+        cols = list(np.random.default_rng(seed).integers(0, 2 ** 64, size=(n, 3),
+                                                         dtype=np.uint64))
+
+        def star_bits(read):
+            return read(tree, n, " in the grouping")(cols).tolist()
+
+        assert _outcome(lambda: star_bits(_grouping)) == _outcome(
+            lambda: star_bits(reference_grouping))
+
+    def test_depth_has_no_limit(self):
+        tree = _deep_grouping(5_000)
+        cols = [np.array([1 << (k % 64), k], np.uint64) for k in range(5_001)]
+        expected = cols[0]
+        for k in range(1, 5_001):
+            expected = expected & cols[k] if k % 2 else cols[k] | expected
+        assert _grouping(tree, 5_001)(cols).tolist() == expected.tolist()
+        with pytest.raises(RecursionError):
+            reference_grouping(tree, 5_001)
+
+    def test_a_deep_mixed_call_meets_the_source_limit(self):
+        a = _halves()
+        with pytest.raises(InputError, match="^5001 sources exceed the limit of 32$"):
+            mixed([a] * 5_001, _deep_grouping(5_000))
+
+
+class TestSourceLimit:
+    @pytest.mark.parametrize("call", [
+        lambda srcs: conjunctive(*srcs),
+        lambda srcs: disjunctive(*srcs),
+        lambda srcs: exclusive_disjunctive(*srcs),
+        lambda srcs: fuse_many(RuleId.CONJUNCTIVE, srcs),
+        lambda srcs: mixed(srcs, _deep_grouping(len(srcs) - 1)),
+    ], ids=["conjunctive", "disjunctive", "exclusive", "fuse_many", "mixed"])
+    def test_more_sources_than_axes_are_refused(self, call):
+        a = make_bba(Frame(("A", "B")), {"A": 1.0})
+        call([a] * 32)
+        for n in (33, 65):
+            with pytest.raises(InputError, match=f"^{n} sources exceed the limit of 32$"):
+                call([a] * n)
+
+    @pytest.mark.parametrize("rule", [RuleId.DEMPSTER, RuleId.PCR5, RuleId.MURPHY_AVERAGE])
+    def test_pairwise_folds_take_any_number(self, rule):
+        a = make_bba(Frame(("A", "B")), {"A": 1.0})
+        assert fuse_many(rule, [a] * 65).mass("A") == pytest.approx(1.0)
 
 
 class TestDempster:

@@ -25,6 +25,7 @@ from conftest import (
     four_label_sources,
     negation_scenario,
     reference_split,
+    reference_tree_from_json,
     two_label_sources,
 )
 
@@ -66,6 +67,7 @@ from fusionkit.errors import (
 from fusionkit import uft as uft_module
 from fusionkit.cli import main as cli_main
 from fusionkit.rules import _union_escalate
+from fusionkit.uft import _tree_from_json
 
 
 def fuse_pair(frame, s1, s2, model, rel, side=None, options=None):
@@ -744,6 +746,55 @@ class TestJsonScenario:
         }
         r = uft_fuse(scenario_from_json(doc))
         assert r.mass("A&B") == pytest.approx(0.28)
+
+
+# Document grouping trees: lists only, with the leaves a JSON document
+# can hold and the malformed nodes the reader names.
+_DOCUMENT_LEAVES = st.one_of(
+    st.integers(-1, 5), st.booleans(),
+    st.sampled_from([1.0, None, "2", [], {}, ["xor", 1, 2], ["and", 1], [["and"], 1, 2]]))
+_DOCUMENT_TREES = st.recursive(
+    _DOCUMENT_LEAVES,
+    lambda kids: st.tuples(st.sampled_from(["and", "or"]), kids, kids).map(list),
+    max_leaves=8)
+
+
+class TestGroupingDocuments:
+    @settings(max_examples=600, deadline=None)
+    @given(_DOCUMENT_TREES, st.integers(1, 5), st.sampled_from(["/grouping", "/reliability/tree"]))
+    def test_one_stack_matches_the_recursive_reader(self, tree, n, ptr):
+        def outcome(read):
+            try:
+                return read(tree, ptr, n)
+            except SchemaError as exc:
+                return type(exc), str(exc), exc.pointer
+
+        assert outcome(_tree_from_json) == outcome(reference_tree_from_json)
+
+    def test_depth_has_no_limit(self):
+        tree = 1
+        for k in range(2, 5_002):
+            tree = ["and", tree, k] if k % 2 else ["or", k, tree]
+        node = _tree_from_json(tree, "/grouping", 5_001)
+        for k in range(5_001, 1, -1):  # unwound by hand: == on it would recurse
+            if k % 2:
+                op, node, leaf = node
+                assert (op, leaf) == ("and", k - 1)
+            else:
+                op, leaf, node = node
+                assert (op, leaf) == ("or", k - 1)
+        assert node == 0
+        with pytest.raises(RecursionError):
+            reference_tree_from_json(tree, "/grouping", 5_001)
+
+
+class TestSourceLimit:
+    def test_more_sources_than_grid_axes_are_refused(self):
+        a = make_bba(Frame(("A", "B")), {"A": 1.0})
+        assert uft_fuse(UftScenario(sources=(a,) * 32)).mass("A") == pytest.approx(1.0)
+        for n in (33, 65):
+            with pytest.raises(InputError, match=f"^{n} sources exceed the limit of 32$"):
+                uft_fuse(UftScenario(sources=(a,) * n))
 
 
 # --- the brackets against the per-term loop ------------------------------------
