@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .algebra import _is_int
 from .errors import InputError, IntervalNotSupported, LengthMismatch, OutOfRange, ZeroNorm, real
@@ -274,9 +275,19 @@ def _crisp_map(x: NsTriple) -> dict:
     return {"t": t, "i": i, "f": f}
 
 
-def _prod_of_sums(*vectors) -> float:
-    """P(v1, ..., vm): the product over the indices of v1[i] + ... + vm[i]."""
-    return math.prod(map(sum, zip(*vectors)))
+def _by_state(columns, step, states: int) -> list:
+    """The sums, by state 0 .. states-1, of the monomials that take one
+    entry from each column: each starts in state 0, and its entry j of a
+    column moves it from state s to ``step(s, j)``.  Only products and
+    sums of the entries occur, so non-negative entries never cancel."""
+    moves = [(s, j, step(s, j)) for s in range(states) for j in range(len(columns[0]))]
+    sums = [1.0] + [0.0] * (states - 1)
+    for column in columns:
+        new = [0.0] * states
+        for s, j, t in moves:
+            new[t] += sums[s] * column[j]
+        sums = new
+    return sums
 
 
 def ns_combine_graded(order: tuple[str, str, str], *xs: NsTriple) -> NsTriple:
@@ -286,20 +297,15 @@ def ns_combine_graded(order: tuple[str, str, str], *xs: NsTriple) -> NsTriple:
     to the strongest component it mentions, ``order`` listing the
     components weakest first.  Because each monomial lands in exactly
     one component, the component sum of the output is the product of
-    the inputs' component sums.
-
-    With A, B, C the component columns in ``order`` and P the product
-    of partial sums, the monomials are summed in O(N) as P(A),
-    P(A, B) - P(A) and P(A, B, C) - P(A, B).
+    the inputs' component sums.  One pass over the triples keeps the
+    sum of the monomials by their strongest component so far.
     """
     if sorted(order) != ["f", "i", "t"]:
         raise InputError(f"order must permute t, i, f: {order!r}")
     if len(xs) < 2:
         raise InputError("need at least two triples")
-    maps = [_crisp_map(x) for x in xs]
-    a, b, c = ([m[name] for m in maps] for name in order)
-    p_a, p_ab = _prod_of_sums(a), _prod_of_sums(a, b)
-    acc = dict(zip(order, (p_a, p_ab - p_a, _prod_of_sums(a, b, c) - p_ab)))
+    columns = list(map(itemgetter(*order), map(_crisp_map, xs)))
+    acc = dict(zip(order, _by_state(columns, max, 3)))
     return NsTriple(acc["t"], acc["i"], acc["f"])
 
 
@@ -359,16 +365,25 @@ class NsVector:
 
 
 def _check_lengths(*vectors):
+    """Refuse k-law vectors that are not lists or tuples of k >= 2 equal
+    lengths, and entries that are not finite numbers >= 0."""
+    for v in vectors:
+        if not isinstance(v, (list, tuple)):
+            raise InputError(f"component vector must be a list or tuple, got {type(v).__name__}")
     k = len(vectors[0])
     if k < 2:
         raise LengthMismatch("component vectors need k >= 2 entries")
     for v in vectors[1:]:
         if len(v) != k:
             raise LengthMismatch("component vectors differ in length")
-    bad = [x for v in vectors for x in v if type(x) is not float and real(x) is None]
-    if bad:
-        raise InputError(f"component vector entry must be a number, got {bad[0]!r}")
-    return k
+    for x in (x for v in vectors for x in v):
+        y = x if type(x) is float else real(x)
+        if y is None:
+            raise InputError(f"component vector entry must be a number, got {x!r}")
+        if not math.isfinite(y):
+            raise InputError(f"component vector entry {y!r} is not finite")
+        if y < 0.0:
+            raise OutOfRange(f"component vector entry {y!r} below 0")
 
 
 def klaw_same(z) -> float:
@@ -379,25 +394,17 @@ def klaw_same(z) -> float:
 
 def klaw_mixed(z, w) -> float:
     """Two-symbol composition: sum over the 2^k - 2 selections that use
-    both symbols, each selection contributing one factor per index:
-    P(z, w) - P(z) - P(w), with P the product of partial sums.
-    """
+    both symbols, each selection contributing one factor per index."""
     _check_lengths(z, w)
-    return _prod_of_sums(z, w) - math.prod(z) - math.prod(w)
+    return _by_state(list(zip(z, w)), lambda s, j: s | 1 << j, 4)[0b11]
 
 
 def klaw3(z, w, u) -> float:
     """Three-symbol composition: sum over selections using all three
-    symbols at least once (for k = 3, the six permutations).
-
-    By inclusion-exclusion this is P(z,w,u) - P(z,w) - P(w,u) - P(z,u)
-    + P(z) + P(w) + P(u).  The terms cancel, so the absolute error
-    scales with P(z,w,u) rather than with the result.
-    """
-    if _check_lengths(z, w, u) < 3:
-        return 0.0  # k < 3 factors cannot use three symbols
-    return (_prod_of_sums(z, w, u) - _prod_of_sums(z, w) - _prod_of_sums(w, u)
-            - _prod_of_sums(z, u) + math.prod(z) + math.prod(w) + math.prod(u))
+    symbols at least once (for k = 3, the six permutations; none for
+    k < 3)."""
+    _check_lengths(z, w, u)
+    return _by_state(list(zip(z, w, u)), lambda s, j: s | 1 << j, 8)[0b111]
 
 
 def klaw_term_count(kind: str, k: int) -> int:

@@ -29,6 +29,7 @@ from .errors import (
     BadParams,
     BadWindow,
     DegenerateHistogram,
+    InputError,
     OutOfRange,
     TruncatedData,
     real,
@@ -123,7 +124,15 @@ def _pgm_tokens(data: bytes):
         i = j
 
 
+def _check_path(path) -> None:
+    """Refuse an integer path: ``open`` would take it for a file
+    descriptor, such as stdout's, and close it."""
+    if isinstance(path, bool) or _is_int(path):
+        raise InputError(f"path must be a file name, got {path!r}")
+
+
 def load_pgm(path) -> GrayImage:
+    _check_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = _pgm_tokens(data)
@@ -134,7 +143,7 @@ def load_pgm(path) -> GrayImage:
     if magic not in (b"P2", b"P5"):
         raise BadMagic(f"not a PGM file (magic {magic!r})")
     try:
-        (w, _), (h, _), (maxval, end) = (next(tokens) for _ in range(3))
+        (w, _), (h, _), (maxval, end) = next(tokens), next(tokens), next(tokens)
         width, height, maxval = int(w), int(h), int(maxval)
     except (StopIteration, ValueError):
         raise TruncatedData("incomplete PGM header") from None
@@ -166,6 +175,7 @@ def load_pgm(path) -> GrayImage:
 
 
 def save_pgm(img: GrayImage, path, binary: bool = True) -> None:
+    _check_path(path)
     header = f"P5 {img.width} {img.height} 255\n" if binary else \
         f"P2\n{img.width} {img.height}\n255\n"
     with open(path, "wb") as fh:

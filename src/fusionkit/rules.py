@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
@@ -255,7 +256,8 @@ def _grouping(tree, n: int, where: str = ""):
                 raise BadGrouping(f"source index {node} used twice")
             seen.add(node)
         elif join is None:
-            raise BadGrouping(f"bad grouping node {node!r}")
+            # reprlib bounds the depth: the node may hold a deep subtree.
+            raise BadGrouping(f"bad grouping node {reprlib.repr(node)}")
         prefix.append(join or node)
     if len(seen) != n:
         raise BadGrouping("every source must appear exactly once" + where)

@@ -3,8 +3,9 @@ and the reference forms the library's table and engine code is checked
 against: the recursive-descent expression parser, the one-term
 proportional split, the T-norm and T-conorm if-chains on floats, the
 interval conjunction's loop over entries, the test of what counts
-as a number, the recursive ``neutro eval`` reader and the recursive
-grouping-tree readers."""
+as a number, the recursive ``neutro eval`` reader, the recursive
+grouping-tree readers and the graded and k-law operators by
+inclusion-exclusion."""
 
 import json
 import math
@@ -294,6 +295,37 @@ def reference_ns_eval(text: str) -> NsTriple:
     deep nesting raises ``RecursionError``.  This is the form that
     ``fusionkit.cli._ns_eval`` replaces."""
     return _ReferenceNsParser(text).parse()
+
+
+def _prod_of_sums(*vectors):
+    """P(v1, ..., vm): the product over the indices of v1[i] + ... + vm[i]."""
+    return math.prod(map(sum, zip(*vectors)))
+
+
+def reference_klaw_mixed(z, w):
+    """``klaw_mixed`` by inclusion-exclusion: P(z, w) - P(z) - P(w).  On
+    floats the terms cancel, so the absolute error scales with P(z, w);
+    on Fractions the value is exact."""
+    return _prod_of_sums(z, w) - math.prod(z) - math.prod(w)
+
+
+def reference_klaw3(z, w, u):
+    """``klaw3`` by inclusion-exclusion: P(z,w,u) - P(z,w) - P(w,u) -
+    P(z,u) + P(z) + P(w) + P(u), and 0.0 for k < 3."""
+    if len(z) < 3:
+        return 0.0
+    return (_prod_of_sums(z, w, u) - _prod_of_sums(z, w) - _prod_of_sums(w, u)
+            - _prod_of_sums(z, u) + math.prod(z) + math.prod(w) + math.prod(u))
+
+
+def reference_combine_graded(order, rows):
+    """``ns_combine_graded``'s (t, i, f) over ``rows`` of (t, i, f)
+    numbers: with A, B, C the component columns in ``order``, weakest
+    first, they get P(A), P(A, B) - P(A) and P(A, B, C) - P(A, B)."""
+    a, b, c = ([dict(zip("tif", row))[name] for row in rows] for name in order)
+    p_a, p_ab = _prod_of_sums(a), _prod_of_sums(a, b)
+    acc = dict(zip(order, (p_a, p_ab - p_a, _prod_of_sums(a, b, c) - p_ab)))
+    return acc["t"], acc["i"], acc["f"]
 
 
 def reference_grouping(tree, n: int, where: str = ""):

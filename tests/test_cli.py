@@ -623,6 +623,23 @@ class TestImageCommands:
         assert report["params"]["a"] == 30.0
         assert report["params"]["c"] == 220.0
 
+    def test_segment_with_more_regions_than_gray_levels(self, tmp_path):
+        px = np.full((96, 96), 128, dtype=np.uint8)
+        for r in range(16):
+            for c in range(16):
+                px[r * 6 + 2:r * 6 + 4, c * 6 + 2:c * 6 + 4] = 250
+        path = tmp_path / "in.pgm"
+        save_pgm(GrayImage(px), path)
+        out_path = tmp_path / "seg.pgm"
+        code, out, err = run([
+            "nimage", "segment", "--a", "10", "--b", "100", "--c", "200",
+            "--t-low", "0.1", "--t-high", "0.9", "--i-threshold", "1.01",
+            str(path), str(out_path),
+        ])
+        assert (code, out) == (1, "")
+        assert err == "error: 256 regions do not fit distinct 8-bit levels\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("flag", ["--gamma", "--delta"])
     def test_denoise_nan_parameter(self, tmp_path, flag):
         path, _ = self.make_noisy(tmp_path)
@@ -635,6 +652,15 @@ class TestImageCommands:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.pgm").exists()
+
+    def test_an_incomplete_header_is_an_input_error(self, tmp_path):
+        path = tmp_path / "in.pgm"
+        path.write_bytes(b"P2\n2\n")
+        code, out, err = run([
+            "nimage", "denoise", "--gamma", "0.4", "--delta", "0.01",
+            str(path), str(tmp_path / "out.pgm"),
+        ])
+        assert (code, out, err) == (1, "", "error: incomplete PGM header\n")
 
     def test_missing_input_file(self, tmp_path):
         code, _, err = run([

@@ -77,6 +77,17 @@ class TestConstruction:
         with pytest.raises(UnknownLabel):
             make_bba(frame, {"Q": 1.0})
 
+    @pytest.mark.parametrize("value, error, message", [
+        ((0.6, 0.4), NegativeMass, "interval [0.6, 0.4] is reversed"),
+        ((-0.1, 0.4), NegativeMass, "mass lower bound -0.1 below 0"),
+        ([0.5, 1.5], MassAboveOne, "mass upper bound 1.5 above 1"),
+        ((2, 1), NegativeMass, "interval [2.0, 1.0] is reversed"),
+    ])
+    def test_reversed_and_out_of_range_intervals(self, frame, value, error, message):
+        with pytest.raises(error) as exc:
+            make_bba(frame, {"A": value})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("value", [
         "x", None, {}, math.nan, [math.nan, 0.5], [0.1, math.nan], ["x", 0.5],
     ])

@@ -5,13 +5,20 @@ import itertools
 import math
 import random
 import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_tconorm, reference_tnorm
+from conftest import (
+    reference_combine_graded,
+    reference_klaw3,
+    reference_klaw_mixed,
+    reference_tconorm,
+    reference_tnorm,
+)
 
 from fusionkit import (
     NS_ONE,
@@ -638,6 +645,67 @@ class TestKLaw:
             klaw3((0.5,), (0.1,), (0.2,))
 
 
+#: Entries over eighteen orders of magnitude, none of them subnormal, and 0.
+spread = st.builds(lambda m, e: m * 10.0 ** -e, st.floats(1.0, 9.999), st.integers(0, 18)) \
+    | st.just(0.0)
+EXACT = settings(max_examples=500, deadline=None)
+
+
+def assert_within_rounding(got: float, exact, k: int):
+    """The bound was set before measuring: 2 k ulp of 1 for k steps.
+    Each step of the pass rounds one product and a few sums of
+    non-negative terms, so relative errors add up without cancelling;
+    they reach the bound only if up to six roundings per step all err
+    the same way.  Nothing is ever below 0."""
+    assert got >= 0.0
+    assert abs(Fraction(got) - exact) <= Fraction(2 * k * 2.0 ** -52) * exact
+
+
+class TestNoCancellation:
+    """The k-laws and the graded operators sum non-negative monomials
+    without subtracting, so tiny entries keep their relative accuracy
+    where the inclusion-exclusion forms (the conftest oracles, exact on
+    Fractions) cancel."""
+
+    def test_tiny_entries_keep_their_value(self):
+        ones, tiny = (1.0,) * 3, (1e-18,) * 3
+        assert reference_klaw_mixed(ones, tiny) < 0.0
+        assert klaw_mixed(ones, tiny) == pytest.approx(3e-18, rel=1e-15, abs=0)
+        x = NsTriple(1.0, 1e-18, 0.0)
+        assert reference_combine_graded(("t", "i", "f"), [(1.0, 1e-18, 0.0)] * 2)[1] == 0.0
+        assert c_tif(x, x).i == pytest.approx(2e-18, rel=1e-15, abs=0)
+
+    @EXACT
+    @given(st.lists(st.tuples(spread, spread, spread), min_size=2, max_size=10))
+    def test_k_laws_are_within_rounding_of_the_exact_sums(self, rows):
+        z, w, u = (list(col) for col in zip(*rows))
+        exact = [[Fraction(x) for x in v] for v in (z, w, u)]
+        assert_within_rounding(klaw_mixed(z, w), reference_klaw_mixed(*exact[:2]), len(rows))
+        assert_within_rounding(klaw3(z, w, u), reference_klaw3(*exact), len(rows))
+
+    @EXACT
+    @given(st.permutations(("t", "i", "f")),
+           st.lists(st.tuples(spread, spread, spread), min_size=2, max_size=8))
+    def test_graded_components_are_within_rounding_of_the_exact_sums(self, order, rows):
+        got = ns_combine_graded(tuple(order), *(NsTriple(*row) for row in rows))
+        exact = reference_combine_graded(order, [[Fraction(x) for x in row] for row in rows])
+        for a, b in zip(got.crisp_components(), exact):
+            assert_within_rounding(a, b, len(rows))
+
+    @PROPERTY
+    @given(st.permutations(("t", "i", "f")),
+           st.lists(st.tuples(components, components, components),
+                    min_size=2, max_size=8))
+    def test_agree_with_inclusion_exclusion_within_its_error(self, order, rows):
+        z, w, u = (list(col) for col in zip(*rows))
+        full = tolerance(math.prod(map(sum, rows)))
+        assert abs(klaw_mixed(z, w) - reference_klaw_mixed(z, w)) <= full
+        assert abs(klaw3(z, w, u) - reference_klaw3(z, w, u)) <= full
+        got = ns_combine_graded(tuple(order), *(NsTriple(*row) for row in rows))
+        for a, b in zip(got.crisp_components(), reference_combine_graded(order, rows)):
+            assert abs(a - b) <= full
+
+
 class TestVector:
     def test_component_views(self):
         v = NsVector((
@@ -683,6 +751,32 @@ class TestOutsideNumbers:
     def test_k_law_entries_that_are_not_numbers_are_refused(self, call):
         with pytest.raises(InputError, match="^component vector entry must be a number, got "):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: klaw_same(5),
+        lambda: klaw_mixed(5, 6),
+        lambda: klaw_mixed({0: 1.0, 1: 2.0}, {0: 3.0, 1: 4.0}),
+        lambda: klaw_same("12"),
+        lambda: klaw3([0.5, 0.2], [0.1, 0.2], np.array([0.4, 0.1])),
+    ], ids=["int", "ints", "dicts", "string", "array"])
+    def test_k_law_vectors_are_lists_or_tuples(self, call):
+        with pytest.raises(InputError, match="^component vector must be a list or tuple, got "):
+            call()
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, 10 ** 400],
+                             ids=["inf", "-inf", "nan", "10**400"])
+    def test_k_law_entries_are_finite(self, entry):
+        for call in (lambda v: klaw_same(v), lambda v: klaw_mixed((1.0, 1.0), v),
+                     lambda v: klaw3((1.0, 1.0), (1.0, 1.0), v)):
+            with pytest.raises(InputError, match=r"^component vector entry .* is not finite$"):
+                call([1.0, entry])
+
+    @pytest.mark.parametrize("entry", [-1e-300, -0.5, -2, np.float64(-1.0)], ids=repr)
+    def test_k_law_entries_below_0_are_out_of_range(self, entry):
+        for call in (lambda v: klaw_same(v), lambda v: klaw_mixed(v, (1.0, 1.0)),
+                     lambda v: klaw3((1.0, 1.0), v, (1.0, 1.0))):
+            with pytest.raises(OutOfRange, match="^component vector entry .* below 0$"):
+                call([entry, 1.0])
 
     def test_k_law_keeps_integer_and_numpy_entries(self):
         assert klaw_same([1, 2]) == 2

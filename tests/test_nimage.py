@@ -1,6 +1,10 @@
 """Image pipeline: plane construction, cleanup, region growing."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from scipy import ndimage
 
 from conftest import flat_with_squares, salt_pepper
 
+import fusionkit
 from fusionkit import (
     GrayImage,
     NsImage,
@@ -33,6 +38,7 @@ from fusionkit.errors import (
     BadParams,
     BadWindow,
     DegenerateHistogram,
+    InputError,
     OutOfRange,
     TruncatedData,
 )
@@ -175,6 +181,68 @@ class TestPgmIO:
         path.write_bytes(b"P2\n1 1\n100\n200\n")
         with pytest.raises(TruncatedData):
             load_pgm(path)
+
+
+class TestPgmHeaderAndBody:
+    @pytest.mark.parametrize("data", [b"P2\n2\n", b"P5 2 x 255\n", b"P2 2 2"],
+                             ids=["short", "not-a-number", "no-maxval"])
+    def test_incomplete_header(self, tmp_path, data):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(TruncatedData, match="^incomplete PGM header$"):
+            load_pgm(path)
+
+    @pytest.mark.parametrize("maxval", [0, 256, 65535])
+    def test_unsupported_maxval(self, tmp_path, maxval):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n1 1\n%d\n0\n" % maxval)
+        with pytest.raises(BadDimensions, match=f"^unsupported maxval {maxval}$"):
+            load_pgm(path)
+
+    def test_bad_sample(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n0 x1\n")
+        with pytest.raises(TruncatedData, match=r"^bad sample b'x1'$"):
+            load_pgm(path)
+
+    def test_short_ascii_body(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n0 1 2\n")
+        with pytest.raises(TruncatedData, match="^expected 4 samples, got 3$"):
+            load_pgm(path)
+
+
+class TestPgmPaths:
+    """``open`` takes an integer for a file descriptor and closes it, so
+    both PGM functions refuse one before opening anything."""
+
+    @pytest.mark.parametrize("path", [-1, np.int64(-1)], ids=repr)
+    def test_an_integer_path_is_refused(self, path):
+        with pytest.raises(InputError, match=r"^path must be a file name, got "):
+            load_pgm(path)
+        with pytest.raises(InputError, match=r"^path must be a file name, got "):
+            save_pgm(checkerboard(), path)
+
+    def test_a_bool_path_leaves_stdout_open(self):
+        # In a child process: were True opened, it would close this one's stdout.
+        code = ("import numpy as np\n"
+                "from fusionkit import GrayImage, load_pgm, save_pgm\n"
+                "from fusionkit.errors import InputError\n"
+                "for call in (lambda: load_pgm(True),\n"
+                "             lambda: save_pgm(GrayImage(np.zeros((1, 1), np.uint8)), True)):\n"
+                "    try:\n"
+                "        call()\n"
+                "    except InputError as exc:\n"
+                "        print(exc)\n"
+                "print('stdout open')\n")
+        src = str(pathlib.Path(fusionkit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["path must be a file name, got True"] * 2 + [
+            "stdout open"]
 
 
 class TestPlaneConstruction:

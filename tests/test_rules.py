@@ -256,6 +256,14 @@ class TestGroupingReader:
         with pytest.raises(RecursionError):
             reference_grouping(tree, 5_001)
 
+    def test_a_bad_node_over_a_deep_subtree_is_named_in_short(self):
+        deep = _deep_grouping(3_000)
+        with pytest.raises(BadGrouping) as info:
+            _grouping(["and", deep, 1, 2], 3_000)
+        text = str(info.value)
+        assert text.startswith("bad grouping node ['and', ('or', 3000, ")
+        assert text.endswith(", 1, 2]") and len(text) < 200
+
     def test_a_deep_mixed_call_meets_the_source_limit(self):
         a = _halves()
         with pytest.raises(InputError, match="^5001 sources exceed the limit of 32$"):
@@ -483,6 +491,9 @@ class TestFuseMany:
         sources = [random_bba(frame, rng) for _ in range(3)]
         out = fuse_many(RuleId.MIXED, sources, grouping=("or", 0, ("and", 1, 2)))
         assert out == mixed(sources, ("or", 0, ("and", 1, 2)))
+        for rule in (RuleId.MIXED, "mixed"):
+            with pytest.raises(BadGrouping, match="^the mixed rule needs a grouping tree$"):
+                fuse_many(rule, sources)
 
     @pytest.mark.parametrize("rule", list(RuleId))
     def test_one_source_is_rejected(self, rule, pair):

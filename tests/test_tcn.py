@@ -9,6 +9,7 @@ choices collapse onto the classical rules.
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -433,6 +434,14 @@ class TestMasterFormula:
         config = UfrConfig(transferable=("A&B", member))
         with pytest.raises(InputError, match="set expressions"):
             ufr_combine(m1, m2, config, model=model)
+
+
+    @pytest.mark.parametrize("spec", ["always", "", 3, None], ids=repr)
+    def test_unknown_transferable_spec(self, spec):
+        frame, m1, m2, model = overlap_sources()
+        message = f"^unknown transferable spec {re.escape(repr(spec))}$"
+        with pytest.raises(InputError, match=message):
+            ufr_combine(m1, m2, UfrConfig(transferable=spec), model=model)
 
 
 class TestUfrConfigJson:

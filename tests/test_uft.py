@@ -48,6 +48,7 @@ from fusionkit import (
     discount,
     disjunctive,
     exclusive_disjunctive,
+    fusion_inputs_from_json,
     make_bba,
     mixed,
     product_terms,
@@ -647,6 +648,20 @@ class TestScenarioValidation:
             UftScenario((s1,), model=None)
 
 
+class TestFusionInputsDocument:
+    @pytest.mark.parametrize("doc", [[], "frame", None, 3], ids=repr)
+    def test_a_scenario_that_is_not_an_object(self, doc):
+        with pytest.raises(SchemaError, match="^/: scenario must be an object$"):
+            fusion_inputs_from_json(doc)
+
+    @pytest.mark.parametrize("key", ["frame", "sources"])
+    def test_a_missing_field(self, key):
+        doc = {"frame": ["A", "B"], "sources": [{"A": 1.0}, {"B": 1.0}]}
+        del doc[key]
+        with pytest.raises(SchemaError, match=f"^/{key}: missing required field$"):
+            fusion_inputs_from_json(doc)
+
+
 class TestJsonScenario:
     DOC = {
         "frame": ["A", "B"],
@@ -1067,6 +1082,66 @@ def _scenarios(draw):
     options = UftOptions(neither_right_proportional=draw(st.booleans()),
                          middle_from_average=draw(st.booleans()))
     return UftScenario(tuple(sources), model, rel, tuple(annotations), options)
+
+
+def _subset_sums(bba: Bba, atoms: int) -> np.ndarray:
+    """``f[X]``: the mass of every focal set B within X (B & ~X == 0), for
+    every X of the frame, the empty set's mass included."""
+    f = np.zeros(1 << atoms)
+    for bits, v in bba.entries:
+        f[bits] += v
+    for i in range(atoms):
+        pairs = f.reshape(-1, 2, 1 << i)
+        pairs[:, 1, :] += pairs[:, 0, :]
+    return f
+
+
+#: Fixed before the comparison: one bracket's set sums and another's
+#: differ only by rounding where they tie.
+ORDER_TOL = 1e-9
+
+
+class TestBracketOrdering:
+    """The pessimism brackets (§1.6) over every scenario of the corpus:
+    the lower bracket sends conflict to ignorance, the middle to the
+    union of its operands and the upper splits it among them, so belief
+    rises and plausibility falls from lower to upper."""
+
+    @staticmethod
+    def fused(scenario):
+        try:
+            return uft_fuse(scenario)
+        except NoOtherHypotheses:
+            return None
+
+    @given(_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_belief_rises_and_plausibility_falls_from_lower_to_upper(self, scenario):
+        r = self.fused(scenario)
+        if r is None:
+            return
+        atoms, full = scenario.frame.atom_count, scenario.frame.universe_bits
+        sums = [_subset_sums(b, atoms) for b in (r.m_lower_closed, r.m_middle, r.m_upper)]
+        bel = [f[:full] - f[0] for f in sums]  # every X but the universe
+        xs = np.arange(1, full + 1)  # every X but the empty set
+        pl = [f[full] - f[full ^ xs] for f in sums]
+        for name, seq in (("belief", bel), ("plausibility", pl[::-1])):
+            for a, b in zip(seq, seq[1:]):
+                worst = int(np.argmax(a - b))
+                assert a[worst] <= b[worst] + ORDER_TOL, (name, worst)
+
+    @given(_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_fused_and_deferred_mass_is_conserved(self, scenario):
+        # The corpus draws every reliability kind.
+        r = self.fused(scenario)
+        if r is None:
+            return
+        total = math.prod(s.total() for s in scenario.sources)
+        assert r.m_uft.total() == pytest.approx(total, abs=ORDER_TOL, rel=0)
+        assert sum(v for _, v in r.deferred) <= total + ORDER_TOL
+        for bits, v in r.deferred:
+            assert v <= r.mass(bits) + ORDER_TOL
 
 
 @st.composite
