@@ -75,6 +75,11 @@ class Frame:
     world: World = World.CLOSED
 
     def __post_init__(self):
+        if not isinstance(self.labels, (list, tuple)):
+            raise InputError("labels must be a list or tuple of str, got "
+                             + type(self.labels).__name__)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "world", enum_member(World, self.world, "world"))
         if len(self.labels) < 2:
             raise TooFewHypotheses("a frame needs at least 2 hypotheses")
         if len(self.labels) > MAX_HYPOTHESES:
@@ -83,7 +88,7 @@ class Frame:
             )
         seen = set()
         for lab in self.labels:
-            if not _IDENT_RE.fullmatch(lab):
+            if not isinstance(lab, str) or not _IDENT_RE.fullmatch(lab):
                 raise UnknownLabel(f"label {lab!r} is not a valid identifier")
             if lab == EMPTY_NAME:
                 raise UnknownLabel(f"label {EMPTY_NAME!r} is reserved")
@@ -157,7 +162,7 @@ def _key_bits(a: "AtomSet | int") -> int:
 
 def build_frame(labels, world: World | str = World.CLOSED) -> Frame:
     """Validate labels and return a frame."""
-    return Frame(tuple(labels), enum_member(World, world, "world"))
+    return Frame(labels, world)
 
 
 @dataclass(frozen=True, order=False)
@@ -288,6 +293,8 @@ class EmptinessModel:
     @classmethod
     def from_exprs(cls, frame: Frame, exprs) -> "EmptinessModel":
         """Model in which each given set expression is declared empty."""
+        if isinstance(exprs, str):
+            raise InputError(f"set expressions must come in a collection, got {exprs!r}")
         bits = 0
         for e in exprs:
             bits |= frame.atoms_of(e).bits

@@ -17,6 +17,7 @@ from enum import Enum
 from .algebra import AtomSet, Frame, World
 from .errors import (
     AlphaOutOfRange,
+    InputError,
     IntervalNotSupported,
     MassAboveOne,
     NegativeMass,
@@ -158,12 +159,17 @@ def make_bba(frame: Frame, assignments) -> Bba:
     if hasattr(assignments, "items"):
         assignments = assignments.items()
     masses: dict = {}
-    for expr, value in assignments:
-        bits = frame.atoms_of(expr).bits
-        v = _check_value(value)
-        if bits in masses:
-            v = _check_value(_add(masses[bits], v))
-        masses[bits] = v
+    try:
+        for expr, value in assignments:
+            bits = frame.atoms_of(expr).bits
+            v = _check_value(value)
+            if bits in masses:
+                v = _check_value(_add(masses[bits], v))
+            masses[bits] = v
+    except InputError:
+        raise
+    except (TypeError, ValueError):  # an entry that is not a pair, or no iterable
+        raise InputError("assignments must be (expression, mass) pairs") from None
     return Bba._from_masses(frame, masses)
 
 

@@ -17,6 +17,7 @@ the image.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,15 @@ def _check_int(value, what: str, error=BadParams) -> None:
         raise error(f"{what} must be an integer, got {value!r}")
 
 
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """Rectangular grid of 8-bit intensities."""
 
-    __slots__ = ("pixels",)
+    pixels: np.ndarray
 
-    def __init__(self, pixels):
+    def __post_init__(self):
         try:
-            arr = np.asarray(pixels)
+            arr = np.asarray(self.pixels)
         except ValueError:
             raise BadDimensions("pixel rows must all have the same length") from None
         if arr.ndim != 2 or arr.size == 0:
@@ -64,9 +66,6 @@ class GrayImage:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrayImage is immutable")
 
     @property
     def width(self) -> int:
@@ -106,22 +105,10 @@ class GrayImage:
 # --- PGM I/O -----------------------------------------------------------------
 
 
-def _pgm_tokens(data: bytes):
-    """Header tokens, skipping '#' comments."""
-    i = 0
-    while i < len(data):
-        if data[i : i + 1].isspace():
-            i += 1
-            continue
-        if data[i : i + 1] == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        yield data[i:j], j
-        i = j
+#: A header or P2 body token: a ``#`` that starts a token starts a
+#: comment running to the end of its line; whitespace is what
+#: ``bytes.isspace`` says.
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 
 def _check_path(path) -> None:
@@ -135,7 +122,7 @@ def load_pgm(path) -> GrayImage:
     _check_path(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
+    tokens = ((m[1], m.end()) for m in _PGM_TOKEN.finditer(data) if m[1])
     try:
         magic, _ = next(tokens)
     except StopIteration:
@@ -190,25 +177,24 @@ def save_pgm(img: GrayImage, path, binary: bool = True) -> None:
 # --- neutrosophic planes -----------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class NsImage:
     """The three planes of an image plus the scaling frozen at build
     time (needed to map T back to gray levels)."""
 
-    __slots__ = ("t", "i", "f", "w", "g_lo", "g_hi")
+    t: np.ndarray
+    i: np.ndarray
+    f: np.ndarray
+    w: int
+    g_lo: float
+    g_hi: float
 
-    def __init__(self, t, i, f, w, g_lo, g_hi):
-        for name, plane in (("t", t), ("i", i), ("f", f)):
-            if plane.shape != t.shape:
+    def __post_init__(self):
+        if self.t.ndim != 2:
+            raise BadDimensions("planes must be 2-D")
+        for name in "tif":
+            if getattr(self, name).shape != self.t.shape:
                 raise BadDimensions(f"plane {name} shape differs")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "g_lo", g_lo)
-        object.__setattr__(self, "g_hi", g_hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NsImage is immutable")
 
     @property
     def shape(self):
@@ -357,17 +343,20 @@ def ns_entropy(ns: NsImage, bins: int = 64):
 
 def gamma_median(ns: NsImage, gamma: float, s: int = 3) -> NsImage:
     """Median-filter T and F where the indeterminacy reaches gamma,
-    then rebuild I from the filtered T plane's local statistics.
+    then rebuild I from the filtered T plane's local statistics.  Only
+    the flagged pixels' windows are read, by :func:`_masked_median`.
 
     A gamma that nothing reaches returns the input unchanged.
     """
     gamma = _non_negative(gamma, "gamma", OutOfRange)
     _check_window(s, ns.shape, "median")
-    mask = ns.i >= gamma
-    if not mask.any():
+    flagged = np.flatnonzero(ns.i >= gamma)
+    if not flagged.size:
         return ns
-    t_hat = np.where(mask, ndimage.median_filter(ns.t, size=s, mode="nearest"), ns.t)
-    f_hat = np.where(mask, ndimage.median_filter(ns.f, size=s, mode="nearest"), ns.f)
+    # C-order copies, so that ravel() is a view the medians are written through.
+    t_hat, f_hat = np.array(ns.t, order="C"), np.array(ns.f, order="C")
+    for plane in (t_hat, f_hat):
+        plane.ravel()[flagged] = _masked_median(plane, flagged, s)
     _, i_hat = _indeterminacy(t_hat, ns.w)
     return NsImage(t_hat, i_hat, f_hat, ns.w, ns.g_lo, ns.g_hi)
 
@@ -417,6 +406,32 @@ def _window_median(windows: np.ndarray) -> np.ndarray:
     return rows[len(rows) // 2]
 
 
+def _masked_median(plane: np.ndarray, flagged: np.ndarray, s: int) -> np.ndarray:
+    """The median of the ``s``-by-``s`` window, edge pixels replicated,
+    of each pixel of the 2-D ``plane`` at the flat indices ``flagged``.
+
+    The windows are gathered into ``s * s`` contiguous rows, one per
+    window cell, and :func:`_window_median` selects each pixel's median
+    with the comparators of a sorting network pruned to its middle
+    output, one NumPy call per comparator over all flagged pixels.
+    Comparators only move values, so for any odd ``s`` each pixel gets
+    the value that sorting its window would put in the middle."""
+    r = s // 2
+    padded = np.pad(plane, r, mode="edge").ravel()
+    # Window cell (dy, dx) of pixel (y, x) lies at (y + dy, x + dx) of
+    # the padded plane: flat offset dy * padded width + dx from the
+    # pixel's window corner, which is y * padded width + x.
+    padded_w = plane.shape[1] + 2 * r
+    offsets = (np.arange(s)[:, None] * padded_w + np.arange(s)).ravel()
+    corner = flagged + flagged // plane.shape[1] * (2 * r)
+    windows = np.empty((s * s, flagged.size), dtype=plane.dtype)
+    # One cell at a time: an (s*s, n) index array would outweigh the
+    # windows it gathers, eight times over for 8-bit ones.
+    for row, offset in zip(windows, offsets):
+        padded.take(corner + offset, out=row)
+    return _window_median(windows)
+
+
 @dataclass(frozen=True)
 class DenoiseResult:
     image: "GrayImage"
@@ -435,14 +450,7 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
     on the 8-bit gray levels themselves so that restored pixels land
     back on true intensities rather than on re-scaled local means: the
     median of an odd window is one of its inputs.  All medians of a pass
-    are read before any pixel is written.
-
-    The window cells of the flagged pixels are gathered into ``s * s``
-    contiguous rows, one per cell, and :func:`_window_median` selects
-    each pixel's median with the comparators of a sorting network pruned
-    to its middle output, one NumPy call per comparator over all flagged
-    pixels.  Comparators only move bytes, so for any odd ``s`` each pixel
-    gets the byte that sorting its window would put in the middle.
+    are read (by :func:`_masked_median`) before any pixel is written.
     """
     gamma = _non_negative(gamma, "gamma", OutOfRange)
     delta = _non_negative(delta, "delta", BadParams)
@@ -453,12 +461,6 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
     _check_window(s, img.pixels.shape, "median")
 
     u = img.pixels.copy()
-    r = s // 2
-    # Window cell (dy, dx) of pixel (y, x) lies at (y + dy, x + dx) of
-    # the edge-padded image: flat offset dy * padded width + dx from the
-    # pixel's window corner, which is y * padded width + x.
-    padded_w = u.shape[1] + 2 * r
-    offsets = (np.arange(s)[:, None] * padded_w + np.arange(s)).ravel()
     _, i = _indeterminacy(u.astype(np.float64), w)
     en_prev = _plane_entropy(i, 64)
     trace = [en_prev]
@@ -466,14 +468,7 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
     for _ in range(max_iters):
         flagged = np.flatnonzero(i >= gamma)
         if flagged.size:
-            padded = np.pad(u, r, mode="edge").ravel()
-            corner = flagged + flagged // u.shape[1] * (2 * r)
-            windows = np.empty((s * s, flagged.size), dtype=np.uint8)
-            # One cell at a time: an (s*s, n) index array would outweigh
-            # the 8-bit windows it gathers.
-            for row, offset in zip(windows, offsets):
-                padded.take(corner + offset, out=row)
-            u.ravel()[flagged] = _window_median(windows)
+            u.ravel()[flagged] = _masked_median(u, flagged, s)
         done += 1
         _, i = _indeterminacy(u.astype(np.float64), w)
         en = _plane_entropy(i, 64)
@@ -502,16 +497,28 @@ class SFunctionParams:
     c: float
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b < self.c <= 255.0):
+        knots = tuple(map(real, (self.a, self.b, self.c)))
+        if None in knots or not (0.0 <= knots[0] < knots[1] < knots[2] <= 255.0):
             raise BadParams(
                 f"need 0 <= a < b < c <= 255, got ({self.a}, {self.b}, {self.c})"
             )
+        for name, x in zip("abc", knots):
+            object.__setattr__(self, name, x)
 
 
 def s_function(g, params: SFunctionParams):
     """S-shaped intensity-to-truth map: 0 below a, 1 above c, and two
-    parabolic arcs joining continuously at b."""
-    t = _s_curve(np.asarray(g, dtype=np.float64), params.a, params.b, params.c)
+    parabolic arcs joining continuously at b.  ``g`` is a number read by
+    :func:`errors.real` or an array of integers or floats."""
+    x = real(g)
+    if x is None:
+        try:
+            x = np.asarray(g)
+        except ValueError:
+            raise BadParams("intensities must form a regular array") from None
+        if x.dtype.kind not in "iuf":
+            raise BadParams(f"intensities must be real numbers, got {x.dtype}")
+    t = _s_curve(np.asarray(x, dtype=np.float64), params.a, params.b, params.c)
     return t if t.ndim else float(t)
 
 
@@ -607,10 +614,10 @@ def segment(img: GrayImage, params: SFunctionParams, *,
     the final map is a partition.  A pixel is claimed by one region
     exactly when the maximum and minimum filters see the same label.
     """
-    if not (0.0 <= t_low <= t_high <= 1.0):
+    lo, hi = real(t_low), real(t_high)
+    if lo is None or hi is None or not (0.0 <= lo <= hi <= 1.0):
         raise BadParams(f"need 0 <= t_low <= t_high <= 1, got ({t_low}, {t_high})")
-    if not 0.0 <= i_threshold:
-        raise BadParams(f"i_threshold must be >= 0, got {i_threshold}")
+    i_threshold = _non_negative(i_threshold, "i_threshold", BadParams)
     ns = sfunction_ns(img, params, w)
     calm = ns.i < i_threshold
     object_mask = (ns.t >= t_high) & calm

@@ -127,7 +127,7 @@ class ReliabilityKind(Enum):
     DISCOUNTS = "discounts"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reliability:
     """How much the sources are trusted, deciding the combination step.
 
@@ -164,6 +164,22 @@ class Reliability:
         if alphas is None or None in alphas:
             raise InputError("discount factors must be numbers")
         return cls(ReliabilityKind.DISCOUNTS, alphas=alphas)
+
+    def _key(self) -> tuple:
+        """The fields, with the grouping tree as its flat prefix list, so
+        that equality and hashing do not recurse on the tree's depth."""
+        tree = self.grouping
+        if tree is not None:
+            tree = tuple(join or node for node, _, join in _tree_nodes(tree, "", tuple))
+        return self.kind, tree, self.alphas
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

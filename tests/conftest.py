@@ -4,8 +4,9 @@ against: the recursive-descent expression parser, the one-term
 proportional split, the T-norm and T-conorm if-chains on floats, the
 interval conjunction's loop over entries, the test of what counts
 as a number, the recursive ``neutro eval`` reader, the recursive
-grouping-tree readers and the graded and k-law operators by
-inclusion-exclusion."""
+grouping-tree readers, the graded and k-law operators by
+inclusion-exclusion, the gamma-median by full-plane median filters and
+the PGM reader's byte-stepping tokenizer."""
 
 import json
 import math
@@ -15,6 +16,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fusionkit import (
     Annotation,
@@ -31,14 +33,18 @@ from fusionkit import (
 )
 from fusionkit.algebra import _IDENT_RE, EMPTY_NAME, _is_int
 from fusionkit.errors import (
+    BadDimensions,
     BadGrouping,
+    BadMagic,
     ExprSyntaxError,
     FrameMismatch,
     InputError,
     SchemaError,
+    TruncatedData,
     enum_member,
 )
 from fusionkit.neutro import NsRecipe, NsTriple, n_conorm, n_norm, ns_not
+from fusionkit.nimage import NsImage, _indeterminacy
 
 
 def pytest_collection_modifyitems(items):
@@ -380,6 +386,80 @@ def reference_tree_from_json(tree, ptr: str, n: int):
     if missing is not None:
         raise SchemaError(ptr, f"source {missing} missing")
     return tree
+
+
+def reference_gamma_median(ns, gamma, s=3):
+    """``gamma_median`` by two full-plane median filters, kept where I
+    reaches ``gamma`` (the form ``fusionkit.nimage.gamma_median``
+    replaces); ``gamma`` and ``s`` are taken as valid."""
+    mask = ns.i >= gamma
+    if not mask.any():
+        return ns
+    t_hat = np.where(mask, ndimage.median_filter(ns.t, size=s, mode="nearest"), ns.t)
+    f_hat = np.where(mask, ndimage.median_filter(ns.f, size=s, mode="nearest"), ns.f)
+    _, i_hat = _indeterminacy(t_hat, ns.w)
+    return NsImage(t_hat, i_hat, f_hat, ns.w, ns.g_lo, ns.g_hi)
+
+
+def _reference_pgm_tokens(data: bytes):
+    """Header tokens, skipping '#' comments, one byte at a time."""
+    i = 0
+    while i < len(data):
+        if data[i : i + 1].isspace():
+            i += 1
+            continue
+        if data[i : i + 1] == b"#":
+            j = data.find(b"\n", i)
+            i = len(data) if j < 0 else j + 1
+            continue
+        j = i
+        while j < len(data) and not data[j : j + 1].isspace():
+            j += 1
+        yield data[i:j], j
+        i = j
+
+
+def reference_load_pgm(path) -> GrayImage:
+    """``load_pgm`` over the byte-stepping tokenizer it replaced."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    tokens = _reference_pgm_tokens(data)
+    try:
+        magic, _ = next(tokens)
+    except StopIteration:
+        raise BadMagic("empty file") from None
+    if magic not in (b"P2", b"P5"):
+        raise BadMagic(f"not a PGM file (magic {magic!r})")
+    try:
+        (w, _), (h, _), (maxval, end) = next(tokens), next(tokens), next(tokens)
+        width, height, maxval = int(w), int(h), int(maxval)
+    except (StopIteration, ValueError):
+        raise TruncatedData("incomplete PGM header") from None
+    if width <= 0 or height <= 0:
+        raise BadDimensions(f"bad dimensions {width}x{height}")
+    if not 0 < maxval <= 255:
+        raise BadDimensions(f"unsupported maxval {maxval}")
+    n = width * height
+    if magic == b"P5":
+        raster = data[end + 1 : end + 1 + n]
+        if len(raster) < n:
+            raise TruncatedData(f"expected {n} raster bytes, got {len(raster)}")
+        flat = np.frombuffer(raster, dtype=np.uint8, count=n)
+    else:
+        values = []
+        for tok, _ in tokens:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise TruncatedData(f"bad sample {tok!r}") from None
+            if len(values) == n:
+                break
+        if len(values) < n:
+            raise TruncatedData(f"expected {n} samples, got {len(values)}")
+        flat = np.asarray(values, dtype=np.int64)
+    if np.any(flat > maxval):
+        raise TruncatedData("sample above declared maxval")
+    return GrayImage(flat.reshape(height, width))
 
 
 def two_label_sources(frame=None):

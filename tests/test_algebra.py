@@ -26,6 +26,7 @@ from fusionkit import (
     atoms_of,
     build_frame,
     is_model_empty,
+    make_bba,
     parse_expr,
     set_op,
     superpower_cardinality,
@@ -582,3 +583,44 @@ class TestBitmaskKeys:
             assert EmptinessModel.free(frame).name_of(key) == "A|B"
             assert model.name_of(key) == "A|B"
         assert frame.name_of(np.int64(3)) == frame.name_of(3) == "~A|~B"
+
+
+class TestFrameReadsItsOwnValues:
+    """``Frame`` converts its world by ``enum_member`` and its labels to a
+    tuple, and refuses a single string or a label that is not one."""
+
+    def test_a_world_by_name_is_the_member(self):
+        frame = Frame(("A", "B"), "open")
+        assert frame.world is World.OPEN
+        assert frame == Frame(("A", "B"), World.OPEN)
+        assert hash(frame) == hash(Frame(("A", "B"), World.OPEN))
+        assert make_bba(frame, {"A": 0.5}).to_json()["world"] == "open"
+
+    def test_an_unknown_world_is_refused(self):
+        with pytest.raises(InputError, match="^unknown world 'ajar'$"):
+            Frame(("A", "B"), "ajar")
+
+    def test_a_label_list_is_stored_as_a_tuple(self):
+        frame = Frame(["A", "B"])
+        assert frame.labels == ("A", "B") and frame == Frame(("A", "B"))
+        assert make_bba(frame, {"A": 1.0}).mass("A") == 1.0
+
+    @pytest.mark.parametrize("labels, message", [
+        ("AB", "labels must be a list or tuple of str, got str"),
+        (1, "labels must be a list or tuple of str, got int"),
+        ({"A", "B"}, "labels must be a list or tuple of str, got set"),
+        (["A", 1], "label 1 is not a valid identifier"),
+        (("A", None), "label None is not a valid identifier"),
+    ], ids=repr)
+    def test_labels_that_are_not_a_list_of_str_are_refused(self, labels, message):
+        for make in (Frame, build_frame):
+            with pytest.raises(InputError) as info:
+                make(labels)
+            assert str(info.value) == message
+
+    def test_model_expressions_come_in_a_collection(self):
+        frame = Frame(("A", "B"))
+        with pytest.raises(InputError) as info:
+            EmptinessModel.from_exprs(frame, "A&B")
+        assert str(info.value) == "set expressions must come in a collection, got 'A&B'"
+        assert EmptinessModel.from_exprs(frame, ["A&B"]).is_empty("A&B")

@@ -347,3 +347,19 @@ class TestSetKeys:
         assert make_bba(frame, {4: 0.6, "A": 0.4}) == make_bba(frame, {"A&B": 0.6, "A": 0.4})
         with pytest.raises(InputError, match="^bits must be an int, got None$"):
             make_bba(frame, {None: 0.5})
+
+
+class TestAssignmentPairs:
+    @pytest.mark.parametrize("assignments", [("a",), [("A", 0.5, 1)], [5], 5, [("A",)]],
+                             ids=repr)
+    def test_entries_that_are_not_pairs_are_refused(self, frame, assignments):
+        with pytest.raises(InputError) as info:
+            make_bba(frame, assignments)
+        assert type(info.value) is InputError
+        assert str(info.value) == "assignments must be (expression, mass) pairs"
+
+    def test_errors_inside_a_pair_keep_their_class(self, frame):
+        with pytest.raises(UnknownLabel):
+            make_bba(frame, [("Z", 0.5)])
+        with pytest.raises(SchemaError, match="mass must be a number"):
+            make_bba(frame, [("A", "0.5")])

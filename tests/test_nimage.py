@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import flat_with_squares, salt_pepper
+from conftest import (
+    flat_with_squares,
+    reference_gamma_median,
+    reference_load_pgm,
+    salt_pepper,
+)
 
 import fusionkit
 from fusionkit import (
@@ -939,3 +944,189 @@ class TestBulkKnotFit:
         exact = [_plane_entropy(row, bins, hist) + _plane_entropy(1.0 - row, bins, hist)
                  for row in t]
         np.testing.assert_allclose(bulk, exact, rtol=1e-13, atol=0.0)
+
+
+# --- one median, one tokenizer, frozen values -----------------------------------
+
+
+@st.composite
+def ns_planes(draw):
+    """Planes from ``to_ns`` or ``sfunction_ns`` of a seeded image, with
+    a median window that fits it."""
+    shape = (draw(st.integers(8, 28)), draw(st.integers(8, 28)))
+    img = random_image(draw(st.sampled_from(KINDS)), draw(st.integers(0, 2 ** 16)), shape)
+    w = draw(st.sampled_from((3, 5)))
+    if draw(st.booleans()):
+        return to_ns(img, w)
+    a, b, c = sorted(draw(st.lists(st.integers(0, 255), min_size=3, max_size=3,
+                                   unique=True)))
+    return sfunction_ns(img, SFunctionParams(a, b, c), w)
+
+
+class TestGammaMedianAgainstTheFilter:
+    @settings(max_examples=320, deadline=None)
+    @given(ns_planes(), st.sampled_from((3, 5, 7)),
+           st.sampled_from((0.0, 0.2, 0.4, 0.7, 1.0, 1.5)) | st.floats(0.0, 1.0))
+    def test_bit_for_bit(self, ns, s, gamma):
+        out = gamma_median(ns, gamma, s)
+        want = reference_gamma_median(ns, gamma, s)
+        if want is ns:
+            assert out is ns
+            return
+        for name in "tif":
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), name
+        assert (out.w, out.g_lo, out.g_hi) == (ns.w, ns.g_lo, ns.g_hi)
+
+    def test_planes_that_are_not_c_ordered(self):
+        ns = to_ns(random_image("dots", 4, (20, 24)))
+        t, i, f = (np.asfortranarray(p) for p in (ns.t, ns.i, ns.f))
+        fortran = NsImage(t, i, f, ns.w, ns.g_lo, ns.g_hi)
+        out, want = gamma_median(fortran, 0.3, 5), reference_gamma_median(ns, 0.3, 5)
+        for name in "tif":
+            assert np.array_equal(getattr(out, name), getattr(want, name))
+        assert np.array_equal(fortran.t, ns.t)  # the input is left as it was
+
+
+_PGM_GAPS = st.lists(st.sampled_from(
+    [b" ", b"\n", b"\r\n", b"\t", b"\x0b", b"\x0c", b"# note\n", b"#\n", b"#\r1\n"]),
+    max_size=3).map(b"".join)
+_PGM_WORDS = st.sampled_from(
+    [b"0", b"1", b"2", b"3", b"7", b"255", b"256", b"+3", b"1_0", b"-1", b"x",
+     b"2#x", b"\x1c", b"\xff", b"03", b"P2"])
+
+
+@st.composite
+def pgm_bytes(draw):
+    """PGM-like bytes: a magic, then header numbers and samples with
+    whitespace, comments and malformed tokens between them, and at times
+    raw raster bytes or a comment at the end with no newline."""
+    parts = [draw(st.sampled_from([b"P2", b"P5", b"P3", b"#P2\n", b""]))]
+    for _ in range(draw(st.integers(0, 10))):
+        parts += draw(_PGM_GAPS), draw(_PGM_WORDS)
+    parts.append(draw(st.sampled_from([b"", b"\n", b"\r", b" ", b"#eof"])))
+    parts.append(draw(st.binary(max_size=12)))
+    return b"".join(parts)
+
+
+def _pgm_outcome(read, path):
+    try:
+        img = read(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return img.pixels.dtype, img.pixels.tolist()
+
+
+class TestPgmTokens:
+    @settings(max_examples=2000, deadline=None)
+    @given(pgm_bytes())
+    def test_the_pattern_reads_what_the_byte_loop_read(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        path.write_bytes(data)
+        assert _pgm_outcome(load_pgm, path) == _pgm_outcome(reference_load_pgm, path)
+
+    @pytest.mark.parametrize("data, pixels", [
+        (b"P2\r\n2\x0b1\x0c255\r\n+3 1_0", [[3, 10]]),
+        (b"P2 2 1 255 4 5 # last comment, no newline", [[4, 5]]),
+        (b"P2 1 1 255 # a carriage return\r 9\n 4", [[4]]),
+        (b"P2#x 1 1 255 0", None),
+        (b"P2 1 1 255 4#5", None),
+    ], ids=["separators", "comment-at-eof", "cr-in-comment", "hash-in-magic",
+            "hash-in-sample"])
+    def test_a_hash_starts_a_comment_only_at_a_token_start(self, tmp_path, data, pixels):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        if pixels is not None:
+            assert load_pgm(path).pixels.tolist() == pixels
+            return
+        with pytest.raises((BadMagic, TruncatedData)) as info:
+            load_pgm(path)
+        assert str(info.value) in ("not a PGM file (magic b'P2#x')", "bad sample b'4#5'")
+
+
+class TestFrozenValues:
+    def test_ns_image_fields_cannot_be_set(self):
+        ns = to_ns(checkerboard())
+        for name in ("t", "i", "f", "w", "g_lo", "g_hi", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ns, name, None)
+
+    def test_ns_images_compare_by_identity(self):
+        img = checkerboard()
+        a, b = to_ns(img), to_ns(img)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        assert repr(a).startswith("<fusionkit.nimage.NsImage object")
+
+    def test_gray_images_compare_by_pixels(self):
+        a, b = checkerboard(), checkerboard()
+        assert a == b and repr(a) == "GrayImage(8x8)"
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(AttributeError):
+            a.width = 3
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 4, 4)])
+    def test_planes_must_be_two_dimensional(self, shape):
+        plane = np.full(shape, 0.5)
+        with pytest.raises(BadDimensions, match="^planes must be 2-D$"):
+            NsImage(plane, plane, plane, 3, 0.0, 255.0)
+
+
+class TestImageNumbers:
+    """The knots, the intensities of ``s_function`` and the thresholds of
+    ``segment`` are read by ``errors.real``; what it refuses is BadParams."""
+
+    @pytest.mark.parametrize("knots", [("1", 2, 3), (None, 2, 3), (True, 2, 3),
+                                       (0, 2, [3]), (0, math.nan, 3)], ids=repr)
+    def test_knots_that_are_not_numbers_are_refused(self, knots):
+        with pytest.raises(BadParams) as info:
+            SFunctionParams(*knots)
+        assert str(info.value) == "need 0 <= a < b < c <= 255, got ({}, {}, {})".format(
+            *knots)
+
+    def test_knots_are_read_as_floats(self):
+        params = SFunctionParams(np.int64(10), 100, np.float32(200.0))
+        assert params == SFunctionParams(10.0, 100.0, 200.0)
+        assert all(type(x) is float for x in (params.a, params.b, params.c))
+
+    @pytest.mark.parametrize("g, message", [
+        ("x", "intensities must be real numbers, got <U1"),
+        (None, "intensities must be real numbers, got object"),
+        ([True, False], "intensities must be real numbers, got bool"),
+        ([[1, 2], [3]], "intensities must form a regular array"),
+    ], ids=["text", "None", "bools", "ragged"])
+    def test_intensities_that_are_not_numbers_are_refused(self, g, message):
+        with pytest.raises(BadParams) as info:
+            s_function(g, SFunctionParams(10, 100, 200))
+        assert str(info.value) == message
+
+    def test_intensities_beyond_a_float_saturate(self):
+        params = SFunctionParams(0, 100, 200)
+        assert s_function(10 ** 400, params) == 1.0
+        assert s_function(-10 ** 400, params) == 0.0
+        assert s_function(np.int64(100), params) == s_function(100.0, params) == 0.5
+        assert s_function(np.array(100), params) == 0.5
+
+    @pytest.mark.parametrize("t_low, t_high", [("a", 0.9), (0.1, None), (0.1, True)],
+                             ids=repr)
+    def test_thresholds_that_are_not_numbers_are_refused(self, t_low, t_high):
+        with pytest.raises(BadParams) as info:
+            segment(flat_with_squares(), SFunctionParams(10, 100, 200),
+                    t_low=t_low, t_high=t_high, i_threshold=0.5)
+        assert str(info.value) == f"need 0 <= t_low <= t_high <= 1, got ({t_low}, {t_high})"
+
+    @pytest.mark.parametrize("i_threshold", ["0.5", None, -0.1], ids=repr)
+    def test_an_indeterminacy_threshold_that_is_not_a_number_is_refused(self, i_threshold):
+        with pytest.raises(BadParams) as info:
+            segment(flat_with_squares(), SFunctionParams(10, 100, 200),
+                    t_low=0.1, t_high=0.9, i_threshold=i_threshold)
+        assert str(info.value) == f"i_threshold must be >= 0, got {i_threshold}"
+
+    def test_integer_and_numpy_thresholds_segment_alike(self):
+        img, params = flat_with_squares(), SFunctionParams(10, 100, 200)
+        want = segment(img, params, t_low=0.0, t_high=1.0, i_threshold=1.0)
+        got = segment(img, params, t_low=0, t_high=np.float64(1), i_threshold=1)
+        assert got.n_objects == want.n_objects
+        assert np.array_equal(got.labels, want.labels)

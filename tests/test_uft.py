@@ -1401,3 +1401,41 @@ class TestOutsideValues:
                 for a in ([1, 0], [1.0, 0.0])]
         fused = [uft_fuse(scenario_from_json(doc)) for doc in docs]
         assert fused[0].m_uft == fused[1].m_uft
+
+
+class TestDeepReliability:
+    """Equality and hashing read a grouping tree by ``rules._tree_nodes``,
+    so two separately built deep trees compare without recursion."""
+
+    @staticmethod
+    def chain(n, last=0):
+        tree = last
+        for k in range(1, n):
+            tree = ("and", tree, k) if k % 2 else ("or", k, tree)
+        return tree
+
+    def test_equal_deep_trees(self):
+        a = Reliability.mixed_grouping(self.chain(5_000))
+        b = Reliability.mixed_grouping(self.chain(5_000))
+        assert a.grouping is not b.grouping
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_unequal_deep_trees(self):
+        a = Reliability.mixed_grouping(self.chain(5_000))
+        assert a != Reliability.mixed_grouping(self.chain(5_000, last=-1))
+        assert a != Reliability.mixed_grouping(self.chain(4_999))
+        assert a != Reliability.some_unknown_unreliable()
+
+    def test_shallow_values_compare_as_their_fields(self):
+        assert Reliability() == Reliability.all_reliable()
+        assert Reliability.discounts([1, 0.5]) == Reliability.discounts((1.0, 0.5))
+        assert Reliability.discounts([1, 0.5]) != Reliability.discounts([0.5, 1])
+        tree = ("and", 0, ("or", 1, 2))
+        assert Reliability.mixed_grouping(tree) == Reliability.mixed_grouping(
+            ("and", 0, ("or", 1, 2)))
+        assert Reliability.mixed_grouping(tree) != Reliability.mixed_grouping(
+            ("or", 0, ("and", 1, 2)))
+        assert Reliability.mixed_grouping(("and", 0, 1)) != Reliability.mixed_grouping(
+            ["and", 0, 1])
+        assert Reliability() != ReliabilityKind.ALL_RELIABLE
