@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .algebra import _is_int
 from .errors import (
@@ -217,10 +216,43 @@ def _check_window(size: int, shape, what: str = "window") -> None:
         raise BadWindow(f"{what} size {size} exceeds image dimensions")
 
 
+def _local_mean(g: np.ndarray, w: int) -> np.ndarray:
+    """The mean of the ``w``-by-``w`` window of each pixel of ``g``,
+    edge pixels replicated, as a float64 plane.
+
+    Down each column, ``w`` edge-clamped rows are added in one go (in
+    int32 for 8-bit planes) and divided by ``w``.  Along each row the
+    window sum runs: it starts as the sum of the first window, left to
+    right, and each step adds the difference of the pixel entering and
+    the pixel leaving; each sum is divided by ``w``.  Whole-number
+    planes thus get, to the last bit, the mean of a filter that runs its
+    sums down the columns too (the test oracle
+    ``reference_uniform_filter``), because their column sums are exact;
+    other planes differ from it by the rounding of those sums, within
+    1e-14 relative."""
+    h, (rows, n) = w // 2, g.shape
+    padded = g.take(np.clip(np.arange(-h, rows + h), 0, rows - 1), axis=0)
+    col = padded[:rows].astype(np.promote_types(g.dtype, np.int32))
+    for d in range(1, w):
+        col += padded[d : d + rows]
+    col = col / w
+    run = np.empty_like(col)
+    first = run[:, 0]
+    first[:] = col[:, 0]
+    for d in range(1 - h, h + 1):  # the rest of the first window, edge-clamped
+        first += col[:, max(d, 0)]
+    np.subtract(col[:, h + 1 : 2 * h + 1], col[:, :1], out=run[:, 1 : h + 1])
+    np.subtract(col[:, 2 * h + 1 :], col[:, : n - 2 * h - 1], out=run[:, h + 1 : n - h])
+    np.subtract(col[:, n - 1 :], col[:, n - 2 * h - 1 : n - h - 1], out=run[:, n - h :])
+    np.add.accumulate(run, axis=1, out=run)
+    run /= w
+    return run
+
+
 def _indeterminacy(g: np.ndarray, w: int):
     """Local mean and I plane: |g - local mean|, min-max scaled to
     [0, 1] in place; a constant deviation maps to 0."""
-    gbar = ndimage.uniform_filter(g, size=w, mode="nearest")
+    gbar = _local_mean(g, w)
     i = np.subtract(g, gbar)
     np.abs(i, out=i)
     lo, hi = float(i.min()), float(i.max())
@@ -346,9 +378,11 @@ def gamma_median(ns: NsImage, gamma: float, s: int = 3) -> NsImage:
     then rebuild I from the filtered T plane's local statistics.  Only
     the flagged pixels' windows are read, by :func:`_masked_median`.
 
-    A gamma that nothing reaches returns the input unchanged.
+    A gamma that nothing reaches returns the input unchanged.  The
+    planes' own window ``ns.w`` must fit them, as :func:`to_ns` checks.
     """
     gamma = _non_negative(gamma, "gamma", OutOfRange)
+    _check_window(ns.w, ns.shape)
     _check_window(s, ns.shape, "median")
     flagged = np.flatnonzero(ns.i >= gamma)
     if not flagged.size:
@@ -461,7 +495,7 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
     _check_window(s, img.pixels.shape, "median")
 
     u = img.pixels.copy()
-    _, i = _indeterminacy(u.astype(np.float64), w)
+    _, i = _indeterminacy(u, w)
     en_prev = _plane_entropy(i, 64)
     trace = [en_prev]
     done = 0
@@ -470,7 +504,7 @@ def denoise_detailed(img: GrayImage, *, gamma: float, delta: float,
         if flagged.size:
             u.ravel()[flagged] = _masked_median(u, flagged, s)
         done += 1
-        _, i = _indeterminacy(u.astype(np.float64), w)
+        _, i = _indeterminacy(u, w)
         en = _plane_entropy(i, 64)
         trace.append(en)
         if en_prev == 0.0 or abs(en - en_prev) / en_prev < delta:
@@ -509,7 +543,8 @@ class SFunctionParams:
 def s_function(g, params: SFunctionParams):
     """S-shaped intensity-to-truth map: 0 below a, 1 above c, and two
     parabolic arcs joining continuously at b.  ``g`` is a number read by
-    :func:`errors.real` or an array of integers or floats."""
+    :func:`errors.real` or an array of integers or floats; NaN is
+    refused."""
     x = real(g)
     if x is None:
         try:
@@ -518,7 +553,10 @@ def s_function(g, params: SFunctionParams):
             raise BadParams("intensities must form a regular array") from None
         if x.dtype.kind not in "iuf":
             raise BadParams(f"intensities must be real numbers, got {x.dtype}")
-    t = _s_curve(np.asarray(x, dtype=np.float64), params.a, params.b, params.c)
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise BadParams("intensities must not be NaN")
+    t = _s_curve(x, params.a, params.b, params.c)
     return t if t.ndim else float(t)
 
 
@@ -585,7 +623,53 @@ DAM = -1
 BACKGROUND = 0
 _UNASSIGNED = -2
 
-_STRUCT = np.ones((3, 3), dtype=bool)
+
+def _label(mask: np.ndarray):
+    """The 8-connected components of a 2-D boolean ``mask``, numbered
+    1.. in raster order of their first pixel, and their count.
+
+    Each row splits into runs (a False column ends every row).  A run
+    of the next row touches run a when it starts at most one column
+    past a's last pixel and ends at most one column before a's first;
+    with the next row's runs moved back one row of flat positions, two
+    searches of their sorted ends and starts find the first and the
+    last of them.  The runs are joined by hooking each component's root
+    onto the smallest root it touches and jumping pointers until every
+    run points at its root, the first run of its component, so the
+    roots come in raster order."""
+    rows, n = mask.shape
+    flat = np.zeros((rows, n + 1), dtype=bool)
+    flat[:, :n] = mask
+    flat = flat.ravel()
+    bounds = np.flatnonzero(np.diff(flat, prepend=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    lo = np.searchsorted(ends - (n + 1), starts)
+    hi = np.searchsorted(starts - (n + 1), ends, side="right")
+    count = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(starts.size), count)
+    b = np.arange(a.size) - np.repeat(np.cumsum(count) - count - lo, count)
+    parent = np.arange(starts.size)
+    while a.size:
+        pa, pb = parent[a], parent[b]
+        apart = pa != pb
+        a, b, pa, pb = a[apart], b[apart], pa[apart], pb[apart]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    root = parent == np.arange(starts.size)
+    out = np.zeros(flat.size, dtype=np.int32)
+    out[flat] = np.repeat(np.cumsum(root, dtype=np.int32)[parent], ends - starts)
+    return out.reshape(rows, n + 1)[:, :n], int(root.sum())
+
+
+def _extreme3(plane: np.ndarray, op, fill) -> np.ndarray:
+    """``op`` (``np.maximum`` or ``np.minimum``) over the 3-by-3 window
+    of each pixel, pixels outside the plane reading ``fill``: over three
+    shifted rows, then over three shifted columns."""
+    padded = np.full((plane.shape[0] + 2, plane.shape[1] + 2), fill, dtype=plane.dtype)
+    padded[1:-1, 1:-1] = plane
+    rows = op(op(padded[:-2], padded[1:-1]), padded[2:])
+    return op(op(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
 @dataclass(frozen=True)
@@ -623,7 +707,7 @@ def segment(img: GrayImage, params: SFunctionParams, *,
     object_mask = (ns.t >= t_high) & calm
     background_mask = (ns.t <= t_low) & calm
 
-    comp, n_objects = ndimage.label(object_mask, structure=_STRUCT)
+    comp, n_objects = _label(object_mask)
     labels = np.full(img.pixels.shape, _UNASSIGNED, dtype=np.int32)
     labels[background_mask] = BACKGROUND
     labels[object_mask] = comp[object_mask]
@@ -633,9 +717,8 @@ def segment(img: GrayImage, params: SFunctionParams, *,
         unassigned = labels == _UNASSIGNED
         if not unassigned.any():
             break
-        hi = ndimage.maximum_filter(labels, size=3, mode="constant", cval=DAM)
-        lo = ndimage.minimum_filter(np.where(labels < 0, above, labels), size=3,
-                                    mode="constant", cval=above)
+        hi = _extreme3(labels, np.maximum, DAM)
+        lo = _extreme3(np.where(labels < 0, above, labels), np.minimum, above)
         reached = unassigned & (hi >= 0)
         if not reached.any():
             labels[unassigned] = DAM

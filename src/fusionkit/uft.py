@@ -42,10 +42,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -119,6 +120,9 @@ class Annotation:
         return x.bits | y.bits
 
 
+_JOIN_NAMES = {operator.and_: "and", operator.or_: "or"}
+
+
 class ReliabilityKind(Enum):
     ALL_RELIABLE = "all_reliable"
     SOME_UNKNOWN_UNRELIABLE = "some_unknown_unreliable"
@@ -167,7 +171,8 @@ class Reliability:
 
     def _key(self) -> tuple:
         """The fields, with the grouping tree as its flat prefix list, so
-        that equality and hashing do not recurse on the tree's depth."""
+        that equality, hashing, repr and pickling do not recurse on the
+        tree's depth."""
         tree = self.grouping
         if tree is not None:
             tree = tuple(join or node for node, _, join in _tree_nodes(tree, "", tuple))
@@ -180,6 +185,31 @@ class Reliability:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __repr__(self):
+        tree = self.grouping
+        if tree is not None:
+            tree = _unfold(self._key()[1], "({!r}, {}, {})".format, repr)
+        return f"Reliability(kind={self.kind!r}, grouping={tree}, alphas={self.alphas!r})"
+
+    def __reduce__(self):
+        return _reliability, self._key()
+
+
+def _unfold(prefix, join, leaf):
+    """The tree of a ``Reliability._key`` prefix list, folded over one
+    stack: ``join(name, left, right)`` at a node, ``leaf(node)`` at a
+    leaf."""
+    return _fold_tree(
+        [partial(join, _JOIN_NAMES[x]) if callable(x) else k for k, x in enumerate(prefix)],
+        [leaf(x) for x in prefix])
+
+
+def _reliability(kind, prefix, alphas) -> Reliability:
+    """The ``Reliability`` whose ``_key`` is ``(kind, prefix, alphas)``."""
+    if prefix is not None:
+        prefix = _unfold(prefix, lambda *node: node, lambda x: x)
+    return Reliability(kind, prefix, alphas)
 
 
 @dataclass(frozen=True)

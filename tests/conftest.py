@@ -401,6 +401,27 @@ def reference_gamma_median(ns, gamma, s=3):
     return NsImage(t_hat, i_hat, f_hat, ns.w, ns.g_lo, ns.g_hi)
 
 
+def reference_uniform_filter(g, w: int):
+    """The ``w``-by-``w`` local mean, edge pixels replicated, by the
+    filter that ``nimage._local_mean`` replaces: running window sums
+    down the columns and then along the rows of a float64 plane."""
+    return ndimage.uniform_filter(np.asarray(g, dtype=np.float64), size=w, mode="nearest")
+
+
+def reference_label(mask):
+    """8-connected components and their count, by the labelling that
+    ``nimage._label`` replaces."""
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+
+
+def reference_extreme3(plane, op, fill):
+    """``op`` (``np.maximum`` or ``np.minimum``) over each 3-by-3
+    window, outside pixels reading ``fill``, by the filter that
+    ``nimage._extreme3`` replaces."""
+    window = ndimage.maximum_filter if op is np.maximum else ndimage.minimum_filter
+    return window(plane, size=3, mode="constant", cval=fill)
+
+
 def _reference_pgm_tokens(data: bytes):
     """Header tokens, skipping '#' comments, one byte at a time."""
     i = 0

@@ -14,8 +14,11 @@ from scipy import ndimage
 
 from conftest import (
     flat_with_squares,
+    reference_extreme3,
     reference_gamma_median,
+    reference_label,
     reference_load_pgm,
+    reference_uniform_filter,
     salt_pepper,
 )
 
@@ -49,6 +52,9 @@ from fusionkit.errors import (
 )
 from fusionkit.nimage import (
     _bin_index,
+    _extreme3,
+    _label,
+    _local_mean,
     _median_network,
     _plane_entropy,
     _row_entropies,
@@ -563,7 +569,7 @@ def reference_segment(img, params, *, t_low, t_high, i_threshold, w=3):
     calm = ns.i < i_threshold
     object_mask = (ns.t >= t_high) & calm
     background_mask = (ns.t <= t_low) & calm
-    comp, n_objects = ndimage.label(object_mask, structure=_STRUCT)
+    comp, n_objects = reference_label(object_mask)
     labels = np.full(img.pixels.shape, -2, dtype=np.int32)
     labels[background_mask] = 0
     labels[object_mask] = comp[object_mask]
@@ -1102,6 +1108,14 @@ class TestImageNumbers:
             s_function(g, SFunctionParams(10, 100, 200))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("g", [math.nan, np.float32("nan"), [1.0, math.nan],
+                                   np.array([[0.0, 255.0], [np.nan, 7.0]])],
+                             ids=["scalar", "float32", "list", "plane"])
+    def test_nan_intensities_are_refused(self, g):
+        with pytest.raises(BadParams) as info:
+            s_function(g, SFunctionParams(10, 100, 200))
+        assert str(info.value) == "intensities must not be NaN"
+
     def test_intensities_beyond_a_float_saturate(self):
         params = SFunctionParams(0, 100, 200)
         assert s_function(10 ** 400, params) == 1.0
@@ -1130,3 +1144,171 @@ class TestImageNumbers:
         got = segment(img, params, t_low=0, t_high=np.float64(1), i_threshold=1)
         assert got.n_objects == want.n_objects
         assert np.array_equal(got.labels, want.labels)
+
+
+# --- the NumPy primitives against the filters they replace ----------------------
+
+
+def column_snake(rows, cols):
+    """Every other column set, joined alternately at the bottom and the
+    top: one 8-connected (and 4-connected) path through the whole mask."""
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[:, ::2] = True
+    for x in range(1, cols, 2):
+        mask[rows - 1 if x % 4 == 1 else 0, x] = True
+    return mask
+
+
+def spiral(size):
+    """A one-pixel path walked inwards in a square spiral: it turns
+    right where going on would leave the square or close the one-pixel
+    gap to the path already walked, and stops where it cannot turn."""
+    mask = np.zeros((size, size), dtype=bool)
+
+    def is_open(y, x, dy, dx):
+        def inside(k):
+            return 0 <= y + k * dy < size and 0 <= x + k * dx < size
+        return inside(1) and not (inside(2) and mask[y + 2 * dy, x + 2 * dx])
+
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[0, 0] = True
+    for _ in range(size * size):
+        if not is_open(y, x, dy, dx):
+            dy, dx = dx, -dy
+            if not is_open(y, x, dy, dx):
+                break
+        y, x = y + dy, x + dx
+        mask[y, x] = True
+    return mask
+
+
+def checker_mask(rows, cols, phase=0):
+    y, x = np.mgrid[:rows, :cols]
+    return (y + x) % 2 == phase
+
+
+@st.composite
+def planes_and_windows(draw, whole):
+    """A seeded plane at least as large as its odd window, 3 to 21 wide:
+    whole numbers in 0..255 (uint8 or float64), or T-like floats in
+    [0, 1] and floats on a wider scale."""
+    w = draw(st.sampled_from(range(3, 22, 2)))
+    shape = (draw(st.integers(w, w + 40)), draw(st.integers(w, w + 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if whole:
+        plane = rng.integers(0, 256, shape)
+        return plane.astype(draw(st.sampled_from((np.uint8, np.float64)))), w
+    return rng.random(shape) * draw(st.sampled_from((1.0, 255.0, 1e6))), w
+
+
+@st.composite
+def masks(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.0, 1.0))
+
+
+class TestNumpyPrimitivesAgainstTheFilters:
+    """``_local_mean``, ``_label`` and ``_extreme3`` against the filters
+    they replace (``reference_uniform_filter``, ``reference_label`` and
+    ``reference_extreme3``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planes_and_windows(whole=True))
+    def test_whole_number_planes_are_bit_for_bit(self, plane_and_w):
+        plane, w = plane_and_w
+        got, want = _local_mean(plane, w), reference_uniform_filter(plane, w)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(planes_and_windows(whole=False))
+    def test_float_planes_move_only_in_the_last_bits(self, plane_and_w):
+        """The column sums of fractional values round otherwise than a
+        running sum; the means stay within 1e-14 relative."""
+        plane, w = plane_and_w
+        np.testing.assert_allclose(_local_mean(plane, w),
+                                   reference_uniform_filter(plane, w), rtol=1e-14, atol=0)
+
+    def test_the_benchmark_images_are_bit_for_bit(self):
+        for size, w in ((256, 3), (97, 5), (64, 21)):
+            plane = impulse_ramp(size).pixels
+            assert (_local_mean(plane, w).tobytes()
+                    == reference_uniform_filter(plane, w).tobytes())
+
+    def test_a_plane_is_only_read(self):
+        plane = impulse_ramp(32).pixels
+        plane.setflags(write=False)
+        _local_mean(plane, 3)
+
+    def assert_labels(self, mask):
+        got, n = _label(mask)
+        want, n_want = reference_label(mask)
+        assert n == n_want
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(masks())
+    def test_random_masks(self, mask):
+        self.assert_labels(mask)
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros((5, 7), dtype=bool), np.ones((5, 7), dtype=bool),
+        np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool),
+        np.array([[1, 0, 1, 1, 0, 0, 1]], dtype=bool),
+        np.array([[1], [0], [1], [1], [0]], dtype=bool),
+        checker_mask(9, 11), checker_mask(9, 11, 1), checker_mask(1, 12), checker_mask(12, 1),
+        column_snake(17, 23), column_snake(17, 23).T, column_snake(2, 40), column_snake(40, 2),
+        spiral(23), spiral(24), ~spiral(23),
+        np.eye(9, dtype=bool), np.eye(9, dtype=bool)[::-1],
+    ], ids=["empty", "full", "one pixel", "no pixel", "one row", "one column",
+            "checker", "checker, other phase", "checker row", "checker column",
+            "column snake", "row snake", "low snake", "narrow snake",
+            "odd spiral", "even spiral", "spiral gaps", "diagonal", "anti-diagonal"])
+    def test_shapes(self, mask):
+        self.assert_labels(mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 40))
+    def test_window_extremes_on_labels(self, rows, cols, seed, n_objects):
+        """Label maps as ``segment`` filters them: dams and unassigned
+        pixels below every region, filled with DAM for the maximum and
+        with one above every region for the minimum."""
+        plane = np.random.default_rng(seed).integers(-2, n_objects + 1, (rows, cols),
+                                                     dtype=np.int32)
+        above = n_objects + 1
+        for op, fill in ((np.maximum, -1), (np.minimum, above)):
+            got, want = _extreme3(plane, op, fill), reference_extreme3(plane, op, fill)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestScipyIsNotLoaded:
+    def test_the_package_and_the_cli_load_without_scipy(self):
+        """A fresh interpreter imports fusionkit and its CLI, denoises and
+        segments, and has loaded no scipy module."""
+        code = (
+            "import sys\n"
+            "import numpy as np, fusionkit, fusionkit.cli\n"
+            "from fusionkit import GrayImage, SFunctionParams, denoise, segment\n"
+            "y, x = np.mgrid[0:24, 0:24]\n"
+            "img = GrayImage((40 + 7 * x + 3 * y) % 256)\n"
+            "denoise(img, gamma=0.3, delta=0.01)\n"
+            "segment(img, SFunctionParams(40, 100, 250), t_low=0.2, t_high=0.8,"
+            " i_threshold=0.5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(fusionkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120)
+        assert out.stdout == "[]\n"
+
+
+class TestGammaMedianWindow:
+    @pytest.mark.parametrize("w", [4, 1, 11, 2.0])
+    def test_planes_whose_window_does_not_fit_are_refused(self, w):
+        ns = to_ns(random_image("dots", 1, (10, 12)))
+        bad = NsImage(ns.t, ns.i, ns.f, w, ns.g_lo, ns.g_hi)
+        with pytest.raises(BadWindow):
+            gamma_median(bad, 0.2)

@@ -11,8 +11,9 @@ import json
 import math
 import operator
 import pathlib
+import pickle
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import reduce
 
 import numpy as np
@@ -1426,6 +1427,34 @@ class TestDeepReliability:
         assert a != Reliability.mixed_grouping(self.chain(5_000, last=-1))
         assert a != Reliability.mixed_grouping(self.chain(4_999))
         assert a != Reliability.some_unknown_unreliable()
+
+    def test_deep_values_can_be_shown(self):
+        text = repr(Reliability.mixed_grouping(self.chain(5_000)))
+        assert text.startswith("Reliability(kind=<ReliabilityKind.MIXED_GROUPING: "
+                               "'mixed_grouping'>, grouping=('and', ('or', 4998, ('and', ")
+        assert text.endswith("), 4999), alphas=None)")
+        assert text.count("'and'") + text.count("'or'") == 4_999
+
+    def test_reprs_read_as_the_fields(self):
+        for value in (Reliability(), Reliability.discounts([1, 0.5]),
+                      Reliability.mixed_grouping(("and", 0, ("or", 1, 2))),
+                      Reliability.mixed_grouping(["and", 0, 1]),
+                      Reliability.mixed_grouping(self.chain(7))):
+            assert repr(value) == (f"Reliability(kind={value.kind!r}, "
+                                   f"grouping={value.grouping!r}, alphas={value.alphas!r})")
+
+    @pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+    def test_values_survive_a_pickle_round_trip(self, protocol):
+        deep = Reliability.mixed_grouping(self.chain(5_000))
+        for value in (deep, Reliability(), Reliability.discounts([1, 0.5]),
+                      Reliability.mixed_grouping(["or", 1, 0])):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and back._key() == value._key()
+            assert type(back.grouping) is type(value.grouping)
+        scenario = scenario_from_json(dict(TestJsonScenario.DOC))
+        scenario = replace(scenario, reliability=deep)
+        back = pickle.loads(pickle.dumps(scenario))
+        assert back.reliability == deep
 
     def test_shallow_values_compare_as_their_fields(self):
         assert Reliability() == Reliability.all_reliable()
