@@ -67,6 +67,13 @@ def _label_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+@lru_cache(maxsize=256)
+def _label_table(labels: tuple[str, ...]) -> dict[str, int]:
+    """``{label: bits}`` over ``labels``, with ``empty`` as 0: the
+    expression parser's one lookup per token.  Shared; never changed."""
+    return {EMPTY_NAME: 0, **dict(zip(labels, _label_masks(len(labels))))}
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered tuple of hypothesis labels plus a world mode."""
@@ -363,6 +370,7 @@ def _parse_bits(frame: Frame, text: str) -> int:
     tokens, bad = zip(*pairs)
     if any(bad):
         raise ExprSyntaxError(f"bad character {''.join(bad)[0]!r} in {text!r}")
+    table, full = _label_table(frame.labels), frame.universe_bits
     values, pending = [], []
     depth, operand = 0, True  # open parentheses; whether an operand comes next
     for tok in tokens + (None,):  # None ends the text
@@ -375,7 +383,9 @@ def _parse_bits(frame: Frame, text: str) -> int:
                 raise ExprSyntaxError(f"unexpected end of expression in {text!r}")
             if tok in _BINDING or tok == ")":
                 raise ExprSyntaxError(f"unexpected token {tok!r} in {text!r}")
-            bits = 0 if tok == EMPTY_NAME else frame.label_bits(tok)
+            bits = table.get(tok)
+            if bits is None:
+                frame.label_index(tok)  # raises UnknownLabel
         else:
             # apply the pending operators that bind at least as tightly as
             # ``tok``; anything but an operator applies all down to a "("
@@ -399,7 +409,7 @@ def _parse_bits(frame: Frame, text: str) -> int:
                 raise ExprSyntaxError(f"trailing input at {tok!r} in {text!r}")
         while pending and pending[-1] == "~":  # the complements written before
             pending.pop()
-            bits = frame.universe_bits & ~bits
+            bits = full & ~bits
         values.append(bits)
         operand = False
 

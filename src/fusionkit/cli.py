@@ -52,14 +52,7 @@ from .tcn import (
     tn_family,
     ufr_combine,
 )
-from .uft import (
-    _audit_rows,
-    _NameMemo,
-    _tree_from_json,
-    fusion_inputs_from_json,
-    scenario_from_json,
-    uft_fuse,
-)
+from .uft import _tree_from_json, fusion_inputs_from_json, scenario_from_json, uft_fuse
 
 FORMATS = ("text", "json", "csv")
 
@@ -179,14 +172,7 @@ def _cmd_uft(args) -> int:
     ):
         print(f"{label}:")
         print(emit_table(b, "text", namer))
-    name = _NameMemo(result.m_uft.frame.name_of)
-    lines = ["transfers:"]
-    for operands, _, mass, rel, targets in _audit_rows(result.audit):
-        ops = " , ".join([name[b] for b in operands])
-        targets = ", ".join([f"{name[b]}: {v:.3f}" for b, v in targets])
-        rel = rel.value if rel else "kept"
-        lines.append(f"  ({ops}) {mass:.3f} [{rel}] -> {targets}")
-    print("\n".join(lines))
+    print(result.write_transfers())
     return 0
 
 

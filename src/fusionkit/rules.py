@@ -53,7 +53,6 @@ of one ledger over the same table.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import reprlib
@@ -440,11 +439,6 @@ class _Routed:
                 targets, shares = targets[used], shares[used]
             self._pairs = targets.ravel().tolist(), shares.ravel().tolist()
         return self._pairs
-
-    def rows(self):
-        """Each term's pairs as a tuple of (target, share) tuples."""
-        pairs = zip(*self.pairs())
-        return (tuple(itertools.islice(pairs, n)) for n in self.count.tolist())
 
 
 def _split_or_union(routed, rows, ops, v, shares, spread, frame, model) -> None:

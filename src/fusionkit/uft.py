@@ -39,7 +39,6 @@ or split back onto the operands proportionally to their masses (upper).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -277,7 +276,7 @@ class TransferRecord:
 class _Audit(Sequence):
     """The transfer audit of one fusion, kept as the router's columns.
 
-    Its length and :meth:`rows` read the columns; the
+    Its length and :meth:`_shapes` read the columns; the
     :class:`TransferRecord` tuple is built on the first read of a
     record.  It compares equal to the tuple of its records.
     """
@@ -287,17 +286,25 @@ class _Audit(Sequence):
         self._rels, self._routes, self._routed = rels, routes, routed
         self._records = None
 
-    def rows(self):
-        """(operands, result, mass, relationship, targets) of every
-        record, in term order, as plain tuples."""
-        ops = zip(*[c.tolist() for c in self._ops])
-        rels = map(self._rels.__getitem__, self._routes.tolist())
-        return zip(ops, self._results.tolist(), self._values.tolist(), rels,
-                   self._routed.rows())
+    def _shapes(self):
+        """The records as :func:`_audit_shapes` groups them, one group
+        per target count (every term has one operand per source)."""
+        count, targets, shares = self._routed.count, self._routed.targets, self._routed.shares
+        # not np.unique: its plain form imports numpy.ma (about 12 ms) on first use
+        for t in np.flatnonzero(np.bincount(count)).tolist():
+            rows = (count == t).nonzero()[0]
+            yield (rows, [o[rows].tolist() for o in self._ops], self._results[rows].tolist(),
+                   self._values[rows].tolist(), self._rels, self._routes[rows].tolist(),
+                   targets[rows, :t].T.tolist(), shares[rows, :t].T.tolist())
 
     def _built(self) -> tuple:
         if self._records is None:
-            self._records = tuple(itertools.starmap(TransferRecord, self.rows()))
+            groups = []
+            for rows, ops, results, masses, rels, rel_index, targets, shares in self._shapes():
+                pairs = zip(*map(zip, targets, shares))  # every term has a target
+                groups.append((rows, list(map(TransferRecord, zip(*ops), results, masses,
+                                              map(rels.__getitem__, rel_index), pairs))))
+            self._records = tuple(_in_term_order(groups))
         return self._records
 
     def __len__(self) -> int:
@@ -321,11 +328,61 @@ class _Audit(Sequence):
         return repr(self._built())
 
 
-def _audit_rows(audit):
-    """The rows of an audit, built by the router or by hand."""
+def _audit_shapes(audit):
+    """The records of an audit, built by the router or by hand, grouped
+    by shape (operand count, target count).  Each group is ``(rows, ops,
+    results, masses, rels, rel_index, targets, shares)``: ``rows`` the
+    terms' positions in the audit, ``ops`` one bit column per operand,
+    ``targets`` and ``shares`` one column per target, and the group's
+    j-th term has relationship ``rels[rel_index[j]]``."""
     if isinstance(audit, _Audit):
-        return audit.rows()
-    return ((t.operands, t.result, t.mass, t.relationship, t.targets) for t in audit)
+        return audit._shapes()
+    groups: dict = {}
+    for i, t in enumerate(audit):
+        groups.setdefault((len(t.operands), len(t.targets)), []).append((i, t))
+    out = []
+    for group in groups.values():
+        rows, records = zip(*group)
+        pairs = [list(zip(*col)) for col in zip(*[t.targets for t in records])]
+        out.append((rows, list(zip(*[t.operands for t in records])),
+                    [t.result for t in records], [t.mass for t in records],
+                    [t.relationship for t in records], range(len(records)),
+                    [bits for bits, _ in pairs], [v for _, v in pairs]))
+    return out
+
+
+def _in_term_order(groups) -> list:
+    """The items of ``groups``, pairs of (term positions, the items at
+    those positions), as one list in term order."""
+    rows, items = [], []
+    for r, x in groups:
+        rows.append(np.asarray(r, np.intp))
+        items.extend(x)
+    if not rows:
+        return []
+    return list(map(items.__getitem__, np.argsort(np.concatenate(rows)).tolist()))
+
+
+def _audit_strings(audit, template, name, number, rel_names) -> list[str]:
+    """Every record of ``audit`` as one string, in term order.
+
+    Each shape group is formatted in one pass by one ``%`` template,
+    ``template(k, specs)`` for k operands and the ``%`` specs of the
+    value columns (the mass, then each share).  Its arguments are the
+    operands' names, the result's name, the mass, the relationship's
+    spelling, then each target's name and share.  ``name[bits]`` names
+    a set, ``number(column)`` gives a value column's spec and values,
+    and ``rel_names`` spells each relationship."""
+    groups = []
+    for rows, ops, results, masses, rels, rel_index, targets, shares in _audit_shapes(audit):
+        specs, values = zip(*map(number, [masses, *shares]))
+        spelled = [rel_names[r] for r in rels]
+        columns = [*(map(name.__getitem__, col) for col in ops),
+                   map(name.__getitem__, results), values[0], map(spelled.__getitem__, rel_index)]
+        for col, v in zip(targets, values[1:]):
+            columns += [map(name.__getitem__, col), v]
+        groups.append((rows, list(map(template(len(ops), specs).__mod__, zip(*columns)))))
+    return _in_term_order(groups)
 
 
 @dataclass(frozen=True)
@@ -375,25 +432,26 @@ class UftResult:
     def write_json(self) -> str:
         """``json.dumps(self.to_json(), indent=2)``, byte for byte.
 
-        The bba sections go through ``json.dumps``; each audit record
-        and deferred pair is written by one template, with every set
-        named and quoted once per call.
+        The bba sections go through ``json.dumps``; the audit records
+        are written from the audit's columns by :func:`_audit_strings`,
+        and every set is named and quoted once per call.
         """
         name_of = self.m_uft.frame.name_of
         name = _NameMemo(lambda b: _quote(name_of(b)))
-
-        def record(operands, result, mass, rel, targets) -> str:
-            ops = _json_list([name[b] for b in operands], 6)
-            targets = _json_list([_json_pair(name[b], v, 8) for b, v in targets], 6)
-            return (f'{{\n      "operands": {ops},\n      "result": {name[result]},'
-                    f'\n      "mass": {_json_number(mass)},'
-                    f'\n      "relationship": {_REL_JSON[rel]},'
-                    f'\n      "targets": {targets}\n    }}')
-
         head = json.dumps(self._bba_sections(), indent=2)  # ends "\n}"
-        audit = _json_list(list(itertools.starmap(record, _audit_rows(self.audit))), 2)
-        deferred = _json_list([_json_pair(name[b], v, 4) for b, v in self.deferred], 2)
+        audit = _json_list(_audit_strings(self.audit, _json_record, name, _json_numbers,
+                                          _REL_JSON), 2)
+        deferred = _json_list([_json_list([name[b], _json_number(v)], 4)
+                               for b, v in self.deferred], 2)
         return f'{head[:-2]},\n  "audit": {audit},\n  "deferred": {deferred}\n}}'
+
+    def write_transfers(self) -> str:
+        """The ``transfers:`` block of ``fusionkit uft``'s text output:
+        one line per audit record, ``  (X , Y) 0.120 [kept] -> A: 0.120``,
+        written from the audit's columns by :func:`_audit_strings`."""
+        name = _NameMemo(self.m_uft.frame.name_of)
+        lines = _audit_strings(self.audit, _text_record, name, _text_numbers, _REL_TEXT)
+        return "\n".join(["transfers:", *lines])
 
 
 class _NameMemo(dict):
@@ -409,6 +467,7 @@ class _NameMemo(dict):
 
 
 _REL_JSON = {None: '"kept"', **{r: _quote(r.value) for r in Relationship}}
+_REL_TEXT = {None: "kept", **{r: r.value for r in Relationship}}
 
 
 def _json_number(v) -> str:
@@ -416,6 +475,21 @@ def _json_number(v) -> str:
     if type(v) is float and math.isfinite(v):
         return float.__repr__(v)
     return json.dumps(v)
+
+
+def _json_numbers(col: list) -> tuple[str, list]:
+    """A value column for a JSON template: ``%r`` over the values where
+    every one is a finite float, which ``%r`` spells as ``json.dumps``
+    does; otherwise each value spelled by :func:`_json_number`."""
+    if {*map(type, col)} <= {float} and all(map(math.isfinite, col)):
+        return "%r", col
+    return "%s", list(map(_json_number, col))
+
+
+def _text_numbers(col: list) -> tuple[str, list]:
+    """A value column for a text template: ``%.3f`` spells every float
+    and int as ``f"{v:.3f}"`` does, NaN and infinities included."""
+    return "%.3f", col
 
 
 def _json_list(items: list, indent: int) -> str:
@@ -427,10 +501,20 @@ def _json_list(items: list, indent: int) -> str:
     return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
 
 
-def _json_pair(quoted: str, v, indent: int) -> str:
-    """A ``[name, mass]`` pair as an indent-2 JSON list."""
-    pad = " " * (indent + 2)
-    return f"[\n{pad}{quoted},\n{pad}{_json_number(v)}\n{pad[:-2]}]"
+def _json_record(k: int, specs) -> str:
+    """The ``%`` template of a JSON audit record with ``k`` operands."""
+    mass, *shares = specs
+    return ('{\n      "operands": ' + _json_list(["%s"] * k, 6) + ',\n      "result": %s,'
+            f'\n      "mass": {mass},\n      "relationship": %s,\n      "targets": '
+            + _json_list([_json_list(["%s", s], 8) for s in shares], 6) + "\n    }")
+
+
+def _text_record(k: int, specs) -> str:
+    """The ``%`` template of a ``transfers:`` line with ``k`` operands;
+    ``%.0s`` takes the result's name and prints nothing."""
+    mass, *shares = specs
+    return ("  (" + " , ".join(["%s"] * k) + f")%.0s {mass} [%s] -> "
+            + ", ".join(["%s: " + s for s in shares]))
 
 
 # --- term expansion ----------------------------------------------------------

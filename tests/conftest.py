@@ -2,8 +2,8 @@
 and the reference forms the library's table and engine code is checked
 against: the recursive-descent expression parser, the one-term
 proportional split, the T-norm and T-conorm if-chains on floats, the
-interval conjunction's loop over entries, the test of what counts
-as a number, the recursive ``neutro eval`` reader, the recursive
+interval conjunction's loop over entries, the UFT audit writers'
+one f-string per record, the test of what counts as a number, the recursive ``neutro eval`` reader, the recursive
 grouping-tree readers, the graded and k-law operators by
 inclusion-exclusion, the gamma-median by full-plane median filters and
 the PGM reader's byte-stepping tokenizer."""
@@ -140,6 +140,59 @@ def reference_parse_bits(frame, text: str) -> int:
     so deep nesting raises ``RecursionError``.  This is the form that
     ``fusionkit.algebra._parse_bits`` replaces."""
     return _ReferenceParser(frame, text).parse()
+
+
+def _reference_json_list(items: list, indent: int) -> str:
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+def _reference_json_number(v) -> str:
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
+def reference_write_json(result) -> str:
+    """``UftResult.write_json`` record by record: the bba sections by
+    ``json.dumps``, then one f-string per ``TransferRecord`` of
+    ``result.audit`` and per deferred pair."""
+    frame = result.m_uft.frame
+
+    def name(bits) -> str:
+        return json.dumps(frame.name_of(bits))
+
+    def pair(bits, v, indent: int) -> str:
+        return _reference_json_list([name(bits), _reference_json_number(v)], indent)
+
+    def record(t) -> str:
+        ops = _reference_json_list([name(b) for b in t.operands], 6)
+        targets = _reference_json_list([pair(b, v, 8) for b, v in t.targets], 6)
+        rel = json.dumps(t.relationship.value if t.relationship else "kept")
+        return (f'{{\n      "operands": {ops},\n      "result": {name(t.result)},'
+                f'\n      "mass": {_reference_json_number(t.mass)},'
+                f'\n      "relationship": {rel},'
+                f'\n      "targets": {targets}\n    }}')
+
+    head = json.dumps(result._bba_sections(), indent=2)  # ends "\n}"
+    audit = _reference_json_list([record(t) for t in result.audit], 2)
+    deferred = _reference_json_list([pair(b, v, 4) for b, v in result.deferred], 2)
+    return f'{head[:-2]},\n  "audit": {audit},\n  "deferred": {deferred}\n}}'
+
+
+def reference_transfers(result) -> str:
+    """``UftResult.write_transfers`` record by record: one f-string per
+    ``TransferRecord`` of ``result.audit``."""
+    name = result.m_uft.frame.name_of
+    lines = ["transfers:"]
+    for t in result.audit:
+        ops = " , ".join([name(b) for b in t.operands])
+        targets = ", ".join([f"{name(b)}: {v:.3f}" for b, v in t.targets])
+        rel = t.relationship.value if t.relationship else "kept"
+        lines.append(f"  ({ops}) {t.mass:.3f} [{rel}] -> {targets}")
+    return "\n".join(lines)
 
 
 def reference_split(v: float, parts):

@@ -26,7 +26,9 @@ from conftest import (
     four_label_sources,
     negation_scenario,
     reference_split,
+    reference_transfers,
     reference_tree_from_json,
+    reference_write_json,
     two_label_sources,
 )
 
@@ -1275,8 +1277,12 @@ class TestLazyAudit:
 
     def test_write_json_builds_no_record(self):
         result = uft_fuse(self.scenario())
-        assert result.write_json() == generic_json(result)
-        assert _CountingRecord.made == len(result.audit)  # only to_json built them
+        doc, text = result.write_json(), result.write_transfers()
+        assert len(result.audit) == 192
+        assert result.audit._records is None and _CountingRecord.made == 0
+        assert doc == generic_json(result) == reference_write_json(result)
+        assert text == reference_transfers(result)
+        assert _CountingRecord.made == len(result.audit)  # only the oracles built them
 
     def test_records_are_built_once(self):
         audit = uft_fuse(self.scenario()).audit
@@ -1316,6 +1322,7 @@ class TestWriteJson:
     @pytest.mark.parametrize("result", DATA_RESULTS)
     def test_data_scenarios(self, result):
         assert result.write_json() == generic_json(result)
+        assert result.write_transfers() == reference_transfers(result)
 
     @given(_scenarios())
     @settings(max_examples=100, deadline=None)
@@ -1325,6 +1332,21 @@ class TestWriteJson:
         except NoOtherHypotheses:
             return
         assert result.write_json() == generic_json(result)
+        assert result.write_transfers() == reference_transfers(result)
+
+    def test_target_counts_interleave_in_term_order(self):
+        # Kept terms take 1 target, A&B's (neither right) C and D, and
+        # A&C's (optimistic) the three operands: one template group each.
+        frame = Frame(("A", "B", "C", "D"))
+        s = make_bba(frame, {"A": 0.5, "B": 0.3, "C": 0.2})
+        a, b, c = map(frame.singleton, "ABC")
+        result = uft_fuse(UftScenario((s, s, s), annotations=(
+            Annotation((a, b), Relationship.NEITHER_RIGHT),
+            Annotation((a, c), Relationship.OPTIMISTIC_BOTH))))
+        doc, text = result.write_json(), result.write_transfers()
+        assert [len(t.targets) for t in result.audit][:6] == [1, 2, 3, 2, 2, 1]
+        assert doc == generic_json(result) == reference_write_json(result)
+        assert text == reference_transfers(result)
 
     @pytest.mark.parametrize("model", [None, ("A&B",)])
     def test_edge_values_and_empty_lists(self, model):
@@ -1342,7 +1364,8 @@ class TestWriteJson:
         )
         for audit, deferred in (((), ()), (records, ((0, -0.0), (3, 1e16)))):
             result = UftResult(b, b, b, b, b, audit, deferred, model)
-            assert result.write_json() == generic_json(result)
+            assert result.write_json() == generic_json(result) == reference_write_json(result)
+            assert result.write_transfers() == reference_transfers(result)
 
 
 class TestOutsideValues:
